@@ -37,12 +37,11 @@ impl SpmmKernel for SputnikHalfSpmm {
         for r in 0..a.nrows {
             let (s, e) = a.row_range(r);
             for i in s..e {
-                let v = p.quantize(a.vals[i]);
-                let xrow = x.row(a.col_idx[i] as usize);
-                let zrow = z.row_mut(r);
-                for (o, &xv) in zrow.iter_mut().zip(xrow) {
-                    *o += v * p.quantize(xv);
-                }
+                p.axpy(
+                    z.row_mut(r),
+                    p.quantize(a.vals[i]),
+                    x.row(a.col_idx[i] as usize),
+                );
             }
         }
         SpmmResult { z, run }

@@ -15,7 +15,7 @@ use gpu_sim::trace::{BlockTrace, CounterTrace, TraceSink, WarpOp};
 use gpu_sim::{coalesced_transactions, BlockCost, DeviceSpec, Precision};
 use graph_sparse::{Csr, DenseMatrix, RowWindowPartition};
 
-use super::{SpmmKernel, SpmmResult};
+use super::{numeric_rows, SpmmKernel, SpmmResult};
 
 /// CUDA-core SpMM kernel.
 #[derive(Debug, Clone, Copy)]
@@ -306,28 +306,17 @@ impl CudaSpmm {
         }
     }
 
-    /// Numerical result: exact at FP32; operand-quantized otherwise.
-    /// Either way output rows are computed on the hc-parallel pool, one
-    /// worker per row, in the serial entry order — bit-identical at any
-    /// thread count. Split out so a cached plan can pair it with cached
-    /// block costs.
+    /// Numerical result: exact at FP32 (bit-identical to
+    /// [`Csr::spmm_reference`]); operand-quantized otherwise. Either way
+    /// output rows are computed on the hc-parallel pool, one worker per
+    /// row, in the serial entry order — bit-identical at any thread count.
+    /// Split out so a cached plan can pair it with cached block costs.
     pub fn numeric(&self, a: &Csr, x: &DenseMatrix) -> DenseMatrix {
-        if self.precision == Precision::Fp32 {
-            return a.spmm_reference(x);
-        }
         let mut z = DenseMatrix::zeros(a.nrows, x.cols);
         if a.nrows > 0 && x.cols > 0 {
-            let p = self.precision;
             let work = 2 * a.nnz() as u64 * x.cols as u64;
             hc_parallel::par_chunks_mut(&mut z.data, x.cols, work, |r, zrow| {
-                let (s, e) = a.row_range(r);
-                for i in s..e {
-                    let v = p.quantize(a.vals[i]);
-                    let xrow = x.row(a.col_idx[i] as usize);
-                    for (o, &xv) in zrow.iter_mut().zip(xrow) {
-                        *o += v * p.quantize(xv);
-                    }
-                }
+                numeric_rows(self.precision, a, r..r + 1, x, zrow);
             });
         }
         z

@@ -12,7 +12,7 @@ use graph_sparse::{Csr, DenseMatrix, RowWindow};
 
 use super::cuda::CudaSpmm;
 use super::tensor::TensorSpmm;
-use super::{SpmmKernel, SpmmResult};
+use super::{numeric_rows, SpmmKernel, SpmmResult};
 use crate::preprocess::{preprocess, preprocess_oracle, Preprocessed};
 use crate::selector::{CoreChoice, SelectionPolicy, Selector};
 
@@ -207,8 +207,10 @@ impl HcSpmm {
         }
     }
 
-    /// Numerical result under the current assignment: CUDA windows compute
-    /// exact f32; Tensor windows compute at the configured precision.
+    /// Numerical result under the current assignment: each window computes
+    /// at its assigned path's precision — `self.cuda.precision` on CUDA
+    /// windows (exact f32 by default; [`HcSpmm::with_precision`] sets it
+    /// too), `self.tensor.precision` on Tensor windows.
     /// Windows tile the rows contiguously, so chunking `z.data` by
     /// `window_rows · cols` gives each pool worker exclusive ownership of
     /// its window's output rows — results are bit-identical to the serial
@@ -218,32 +220,18 @@ impl HcSpmm {
         if a.nrows == 0 || x.cols == 0 {
             return z;
         }
-        let cols = x.cols;
-        let chunk = pre.partition.window_rows * cols;
-        let work = 2 * a.nnz() as u64 * cols as u64;
+        let chunk = pre.partition.window_rows * x.cols;
+        let work = 2 * a.nnz() as u64 * x.cols as u64;
         hc_parallel::par_chunks_mut(&mut z.data, chunk, work, |wi, zc| {
             let w = &pre.partition.windows[wi];
             if w.is_empty() {
                 return;
             }
-            match pre.choices[wi] {
-                CoreChoice::Cuda => {
-                    let p = self.cuda.precision;
-                    for r in w.start_row..w.start_row + w.rows {
-                        let (s, e) = a.row_range(r);
-                        let local = r - w.start_row;
-                        let zrow = &mut zc[local * cols..(local + 1) * cols];
-                        for i in s..e {
-                            let v = p.quantize(a.vals[i]);
-                            let xrow = x.row(a.col_idx[i] as usize);
-                            for (o, &xv) in zrow.iter_mut().zip(xrow) {
-                                *o += v * p.quantize(xv);
-                            }
-                        }
-                    }
-                }
-                CoreChoice::Tensor => self.tensor.window_numeric_into(a, w, x, zc),
-            }
+            let p = match pre.choices[wi] {
+                CoreChoice::Cuda => self.cuda.precision,
+                CoreChoice::Tensor => self.tensor.precision,
+            };
+            numeric_rows(p, a, w.start_row..w.start_row + w.rows, x, zc);
         });
         z
     }

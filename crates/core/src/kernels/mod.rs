@@ -5,7 +5,9 @@ pub mod hybrid;
 pub mod straightforward;
 pub mod tensor;
 
-use gpu_sim::{DeviceSpec, KernelRun};
+use std::ops::Range;
+
+use gpu_sim::{DeviceSpec, KernelRun, Precision};
 use graph_sparse::{Csr, DenseMatrix};
 
 /// Output of one simulated SpMM: the numerical result plus the simulated
@@ -40,6 +42,29 @@ pub trait SpmmKernel {
     /// literally that, overrides just skip the numeric phase.
     fn spmm_run(&self, a: &Csr, x: &DenseMatrix, dev: &DeviceSpec) -> KernelRun {
         self.spmm(a, x, dev).run
+    }
+}
+
+/// The numeric row loop of the HC kernels: accumulates rows `rows` of
+/// `A · X` into `z` (row-major, `x.cols` columns, row `rows.start` at
+/// offset 0). Each sparse value and dense operand is quantized at `p` and
+/// the products add up in f32 in CSR entry order — the WMMA contract on
+/// quantized paths, exact f32 SpMM at [`Precision::Fp32`]. The per-entry
+/// update is one [`Precision::axpy`] over the whole output row.
+pub(crate) fn numeric_rows(
+    p: Precision,
+    a: &Csr,
+    rows: Range<usize>,
+    x: &DenseMatrix,
+    z: &mut [f32],
+) {
+    let cols = x.cols;
+    for (local, r) in rows.enumerate() {
+        let zrow = &mut z[local * cols..(local + 1) * cols];
+        let (s, e) = a.row_range(r);
+        for i in s..e {
+            p.axpy(zrow, p.quantize(a.vals[i]), x.row(a.col_idx[i] as usize));
+        }
     }
 }
 

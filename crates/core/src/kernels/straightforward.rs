@@ -338,22 +338,14 @@ impl StraightforwardHybrid {
                     for (i, cond) in (s..e).zip(conds) {
                         let cond = cond as usize;
                         let t = tile_of(cond);
-                        let dense = tile_fill[t] as f64 / (w.rows * tile_k) as f64
-                            >= self.tile_density_threshold;
-                        let (av, quant) = if dense {
-                            (Precision::Tf32.quantize(a.vals[i]), true)
+                        let p = if tile_fill[t] as f64 / (w.rows * tile_k) as f64
+                            >= self.tile_density_threshold
+                        {
+                            Precision::Tf32
                         } else {
-                            (a.vals[i], false)
+                            Precision::Fp32
                         };
-                        let xrow = x.row(a.col_idx[i] as usize);
-                        for (o, &xv) in zrow.iter_mut().zip(xrow) {
-                            let xq = if quant {
-                                Precision::Tf32.quantize(xv)
-                            } else {
-                                xv
-                            };
-                            *o += av * xq;
-                        }
+                        p.axpy(zrow, p.quantize(a.vals[i]), x.row(a.col_idx[i] as usize));
                     }
                 }
             });

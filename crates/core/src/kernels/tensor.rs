@@ -16,9 +16,9 @@
 
 use gpu_sim::trace::{BlockTrace, CounterTrace, TraceSink, WarpOp};
 use gpu_sim::{coalesced_transactions, BlockCost, DeviceSpec, Precision};
-use graph_sparse::{Csr, DenseMatrix, RowWindow, RowWindowPartition, TileMeta};
+use graph_sparse::{Csr, DenseMatrix, RowWindowPartition, TileMeta};
 
-use super::{SpmmKernel, SpmmResult};
+use super::{numeric_rows, SpmmKernel, SpmmResult};
 
 /// Tensor-core SpMM kernel.
 #[derive(Debug, Clone, Copy)]
@@ -381,43 +381,6 @@ impl TensorSpmm {
             }
         }
     }
-
-    /// Numerically multiply one window at this kernel's precision,
-    /// accumulating into `z` (rows `w.start_row..`). Inputs are quantized,
-    /// products accumulate in f32 — the WMMA contract.
-    pub fn window_numeric(&self, a: &Csr, w: &RowWindow, x: &DenseMatrix, z: &mut DenseMatrix) {
-        let cols = z.cols;
-        let lo = w.start_row * cols;
-        let hi = (w.start_row + w.rows) * cols;
-        self.window_numeric_into(a, w, x, &mut z.data[lo..hi]);
-    }
-
-    /// [`window_numeric`](TensorSpmm::window_numeric) against a borrowed
-    /// window-sized slice of Z (row-major, `x.cols` columns, row
-    /// `w.start_row` at offset 0). This is the form the parallel drivers
-    /// use: each worker owns exactly its window's chunk of `z.data`.
-    pub fn window_numeric_into(
-        &self,
-        a: &Csr,
-        w: &RowWindow,
-        x: &DenseMatrix,
-        z_window: &mut [f32],
-    ) {
-        let p = self.precision;
-        let cols = x.cols;
-        for r in w.start_row..w.start_row + w.rows {
-            let (s, e) = a.row_range(r);
-            let local = r - w.start_row;
-            let zrow = &mut z_window[local * cols..(local + 1) * cols];
-            for i in s..e {
-                let v = p.quantize(a.vals[i]);
-                let xrow = x.row(a.col_idx[i] as usize);
-                for (o, &xv) in zrow.iter_mut().zip(xrow) {
-                    *o += v * p.quantize(xv);
-                }
-            }
-        }
-    }
 }
 
 impl TensorSpmm {
@@ -461,11 +424,12 @@ impl TensorSpmm {
         }
     }
 
-    /// Numerical result over a prebuilt partition. Windows tile the rows
-    /// contiguously, so chunking z.data by window_rows·cols makes chunk
-    /// index == window index and each worker owns its window's output
-    /// exclusively. Split out so a cached plan can pair it with cached
-    /// block costs.
+    /// Numerical result over a prebuilt partition, at this kernel's
+    /// precision: inputs are quantized, products accumulate in f32 — the
+    /// WMMA contract. Windows tile the rows contiguously, so chunking
+    /// z.data by window_rows·cols makes chunk index == window index and
+    /// each worker owns its window's output exclusively. Split out so a
+    /// cached plan can pair it with cached block costs.
     pub fn partition_numeric(
         &self,
         part: &RowWindowPartition,
@@ -479,7 +443,8 @@ impl TensorSpmm {
             hc_parallel::par_chunks_mut(&mut z.data, chunk, work, |wi, zc| {
                 let w = &part.windows[wi];
                 if !w.is_empty() {
-                    self.window_numeric_into(a, w, x, zc);
+                    let rows = w.start_row..w.start_row + w.rows;
+                    numeric_rows(self.precision, a, rows, x, zc);
                 }
             });
         }

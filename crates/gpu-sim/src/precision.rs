@@ -62,6 +62,7 @@ impl Precision {
 
     /// Quantize `x` to this precision (result widened back to f32), using
     /// round-to-nearest-even, like the hardware conversion units.
+    #[inline]
     pub fn quantize(self, x: f32) -> f32 {
         match self {
             Precision::Fp32 => x,
@@ -70,25 +71,60 @@ impl Precision {
             Precision::Fp16 => f16_round_trip(x),
         }
     }
+
+    /// The numeric row update of every host SpMM kernel:
+    /// `z[j] += a * self.quantize(x[j])` for each `j`. `a` is the caller's
+    /// (already quantized) sparse value; `z` and `x` are one output row and
+    /// one dense-operand row of equal length.
+    ///
+    /// The precision is matched once, outside the loop, so each arm is a
+    /// straight-line loop over independent lanes that the compiler
+    /// vectorizes (FP32, TF32 and BF16 carry no per-element control flow).
+    /// Each `z[j]` still receives exactly one `+= a * q` per call, so the
+    /// result is bit-identical to the scalar per-element loop.
+    ///
+    /// ```
+    /// use gpu_sim::Precision;
+    /// let mut z = [1.0f32, 2.0];
+    /// Precision::Tf32.axpy(&mut z, 2.0, &[1.0 + f32::EPSILON, 0.5]);
+    /// assert_eq!(z, [3.0, 3.0]);
+    /// ```
+    #[inline]
+    pub fn axpy(self, z: &mut [f32], a: f32, x: &[f32]) {
+        #[inline(always)]
+        fn lanes(z: &mut [f32], a: f32, x: &[f32], q: impl Fn(f32) -> f32) {
+            debug_assert_eq!(z.len(), x.len(), "axpy operands differ in length");
+            for (o, &xv) in z.iter_mut().zip(x) {
+                *o += a * q(xv);
+            }
+        }
+        match self {
+            Precision::Fp32 => lanes(z, a, x, |v| v),
+            Precision::Tf32 => lanes(z, a, x, |v| truncate_mantissa_rne(v, 10)),
+            Precision::Bf16 => lanes(z, a, x, |v| truncate_mantissa_rne(v, 7)),
+            Precision::Fp16 => lanes(z, a, x, f16_round_trip),
+        }
+    }
 }
 
 /// Round `x` to `bits` mantissa bits (keeping the f32 exponent range) with
-/// round-to-nearest-even on the dropped bits.
+/// round-to-nearest-even on the dropped bits, without branches: adding
+/// `half - 1 + kept LSB` carries into the kept bits exactly when the
+/// dropped bits exceed half, or equal it with an odd kept LSB; masking then
+/// clears the dropped bits. A carry out of the mantissa bumps the exponent,
+/// which is the correct rounding (up to ±inf past the largest finite).
+/// Non-finite inputs are selected through unchanged.
+#[inline]
 fn truncate_mantissa_rne(x: f32, bits: u32) -> f32 {
-    if !x.is_finite() {
-        return x;
-    }
     let drop = 23 - bits;
     let u = x.to_bits();
-    let half = 1u32 << (drop - 1);
-    let mask = (1u32 << drop) - 1;
-    let rem = u & mask;
-    let mut v = u >> drop;
-    // Round to nearest, ties to even.
-    if rem > half || (rem == half && v & 1 == 1) {
-        v += 1;
+    let lsb = (u >> drop) & 1;
+    let rounded = u.wrapping_add((1u32 << (drop - 1)) - 1 + lsb) & !((1u32 << drop) - 1);
+    if x.is_finite() {
+        f32::from_bits(rounded)
+    } else {
+        x
     }
-    f32::from_bits(v << drop)
 }
 
 /// Convert f32 → IEEE binary16 → f32 (round-to-nearest-even, with proper
@@ -182,6 +218,7 @@ pub fn f16_to_f32(h: u16) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn fp32_is_identity() {
@@ -261,5 +298,117 @@ mod tests {
         assert_eq!(Precision::Tf32.tile_k(), 8);
         assert_eq!(Precision::Fp16.tile_k(), 16);
         assert_eq!(Precision::Bf16.tile_k(), 16);
+    }
+
+    /// The branchy round-to-nearest-even the branch-free form replaced,
+    /// kept as its oracle.
+    fn rne_oracle(x: f32, bits: u32) -> f32 {
+        if !x.is_finite() {
+            return x;
+        }
+        let drop = 23 - bits;
+        let u = x.to_bits();
+        let half = 1u32 << (drop - 1);
+        let rem = u & ((1u32 << drop) - 1);
+        let mut v = u >> drop;
+        if rem > half || (rem == half && v & 1 == 1) {
+            v += 1;
+        }
+        f32::from_bits(v << drop)
+    }
+
+    /// First input (as bits) and mantissa width where the branch-free RNE
+    /// and the oracle disagree bit for bit.
+    fn first_rne_mismatch(inputs: impl IntoIterator<Item = u32>) -> Option<(u32, u32)> {
+        inputs.into_iter().find_map(|u| {
+            let x = f32::from_bits(u);
+            [10, 7]
+                .into_iter()
+                .find(|&b| truncate_mantissa_rne(x, b).to_bits() != rne_oracle(x, b).to_bits())
+                .map(|b| (u, b))
+        })
+    }
+
+    #[test]
+    fn branch_free_rne_matches_oracle_on_edge_cases() {
+        let mut inputs = vec![
+            0x0000_0000, // +0
+            0x8000_0000, // -0
+            0x0000_0001, // smallest subnormal
+            0x8000_0001,
+            0x007f_ffff, // largest subnormal: carries into the smallest normal
+            0x807f_ffff,
+            0x3fff_ffff, // just below 2.0: carries into the next binade
+            0xbfff_ffff,
+            0x7f7f_ffff, // f32::MAX: rounds to +inf
+            0xff7f_ffff,
+            0x7f80_0000, // ±inf
+            0xff80_0000,
+            0x7fc0_0000, // NaN payloads, quiet and signalling, both signs
+            0xffc0_0001,
+            0x7f80_0001,
+            0x7fbf_ffff,
+            0xffff_ffff,
+        ];
+        for drop in [13u32, 16] {
+            let half = 1u32 << (drop - 1);
+            let odd = 1u32 << drop;
+            for base in [0x3f80_0000u32, 0xc120_0000, 0x0000_0000] {
+                inputs.push(base | half); // tie, even kept LSB: rounds down
+                inputs.push(base | odd | half); // tie, odd kept LSB: rounds up
+                inputs.push(base | (half - 1));
+                inputs.push(base | (half + 1));
+            }
+        }
+        assert_eq!(first_rne_mismatch(inputs), None);
+        assert_eq!(first_rne_mismatch((0..=u32::MAX).step_by(65_537)), None);
+        assert_eq!(Precision::Tf32.quantize(f32::MAX), f32::INFINITY);
+        assert_eq!(Precision::Bf16.quantize(f32::MIN), f32::NEG_INFINITY);
+    }
+
+    #[test]
+    #[ignore = "2^32 inputs; run in release: cargo test --release -p gpu-sim -- --ignored exhaustive"]
+    fn exhaustive_rne_matches_oracle() {
+        assert_eq!(first_rne_mismatch(0..=u32::MAX), None);
+    }
+
+    /// A finite, subnormal, infinite or NaN f32, each class often enough
+    /// that a short vector holds several.
+    fn special_f32() -> impl Strategy<Value = f32> {
+        (0u32..8, 0u32..=u32::MAX).prop_map(|(class, bits)| match class {
+            0 => f32::from_bits(bits & 0x807f_ffff), // ±0 or subnormal
+            1 => f32::from_bits(bits | 0x7f80_0000), // NaN payload or ±inf
+            2 => f32::INFINITY,
+            3 => f32::NEG_INFINITY,
+            4 => f32::from_bits(bits),
+            _ => (bits as f64 / u32::MAX as f64 * 8.0 - 4.0) as f32,
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn axpy_matches_the_scalar_loop(
+            (a, x, z0) in (0usize..98).prop_flat_map(|n| (
+                special_f32(),
+                prop::collection::vec(special_f32(), n),
+                prop::collection::vec(-4.0f32..4.0, n),
+            ))
+        ) {
+            for p in [Precision::Fp32, Precision::Tf32, Precision::Fp16, Precision::Bf16] {
+                let mut got = z0.clone();
+                p.axpy(&mut got, a, &x);
+                let mut want = z0.clone();
+                for (o, &xv) in want.iter_mut().zip(&x) {
+                    *o += a * p.quantize(xv);
+                }
+                for (j, (g, w)) in got.iter().zip(&want).enumerate() {
+                    prop_assert!(
+                        g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                        "{p:?} lane {j} of {}: axpy {g:e}, scalar loop {w:e}",
+                        x.len()
+                    );
+                }
+            }
+        }
     }
 }

@@ -8,14 +8,22 @@
 //! logged post-apply fingerprint disagrees with the delta.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use graph_sparse::{gen, DeltaCsr, StructureFingerprint};
 use hc_serve::{CacheStats, DeltaRecord, EpochMarker, FrontCounters, Snapshot, Wal, WalRecord};
 use proptest::prelude::*;
 
 fn scratch(name: &str) -> PathBuf {
+    // A fresh path per call: the proptests run in parallel and build the
+    // same-sized WAL at the same time.
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
     let mut p = std::env::temp_dir();
-    p.push(format!("hc-corrupt-{}-{}.bin", std::process::id(), name));
+    p.push(format!(
+        "hc-corrupt-{}-{call}-{name}.bin",
+        std::process::id()
+    ));
     p
 }
 

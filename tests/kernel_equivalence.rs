@@ -1,9 +1,13 @@
 //! Every SpMM kernel in the workspace must compute the same product.
 //!
 //! CUDA-path kernels are bit-exact against the reference multiply; Tensor
-//! paths match within TF32 tolerance. Property-based over random graphs.
+//! paths match within TF32 tolerance; the half-precision baselines are
+//! bit-exact against a scalar FP16 loop. Property-based over random graphs.
 
-use baselines::{cpu_spmm, CusparseSpmm, DtcSpmm, GeSpmm, SputnikSpmm, TcGnnSpmm};
+use baselines::{
+    cpu_spmm, CusparseSpmm, DtcSpmm, GeSpmm, SputnikHalfSpmm, SputnikSpmm, TcGnnSpmm, TileCsrSpmm,
+};
+use gpu_sim::precision::{f16_to_f32, f32_to_f16};
 use gpu_sim::{DeviceSpec, Precision};
 use graph_sparse::{gen, Coo, Csr, DenseMatrix};
 use hc_core::{CudaSpmm, HcSpmm, SpmmKernel, TensorSpmm};
@@ -65,6 +69,30 @@ proptest! {
             let r = k.spmm(&a, &x, &dev);
             let err = want.max_abs_diff(&r.z);
             prop_assert!(err <= tol, "{}: err {} > tol {}", k.name(), err, tol);
+        }
+    }
+
+    #[test]
+    fn half_baselines_match_the_scalar_fp16_loop(a in arb_csr(), dim in 1usize..70, seed in 0u64..100) {
+        // FP16 operands, FP32 accumulation in CSR entry order, bit for bit.
+        let x = DenseMatrix::random_features(a.ncols, dim, seed);
+        let q = |v: f32| f16_to_f32(f32_to_f16(v));
+        let mut want = DenseMatrix::zeros(a.nrows, dim);
+        for r in 0..a.nrows {
+            let (s, e) = a.row_range(r);
+            for i in s..e {
+                let v = q(a.vals[i]);
+                let xrow = x.row(a.col_idx[i] as usize);
+                for (o, &xv) in want.row_mut(r).iter_mut().zip(xrow) {
+                    *o += v * q(xv);
+                }
+            }
+        }
+        let bits = |m: &DenseMatrix| m.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let dev = DeviceSpec::rtx3090();
+        let half: [&dyn SpmmKernel; 2] = [&SputnikHalfSpmm, &TileCsrSpmm];
+        for k in half {
+            prop_assert_eq!(bits(&k.spmm(&a, &x, &dev).z), bits(&want), "{} diverged", k.name());
         }
     }
 
