@@ -1,4 +1,7 @@
-//! Wall-clock of one simulated GCN training epoch per aggregation backend.
+//! Wall-clock of one simulated GCN training epoch per aggregation backend,
+//! and of the dense Update kernels at the GCN shapes of the `train`
+//! workload (YS analogue at scale 128: 13,366 rows, 74 features, hidden
+//! 16, 8 classes).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gnn::aggregator::{Aggregator, HcAggregator, KernelAggregator};
@@ -32,5 +35,34 @@ fn bench_epoch(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_epoch);
+/// Rows of the YS analogue at scale 128.
+const ROWS: usize = 13_366;
+
+fn bench_dense(c: &mut Criterion) {
+    let relu = |m: DenseMatrix| m.map(|v| v.max(0.0));
+    let x = DenseMatrix::random_features(ROWS, 74, 1);
+    let h1 = relu(DenseMatrix::random_features(ROWS, 16, 2));
+    let dz1 = relu(DenseMatrix::random_features(ROWS, 16, 3));
+    let w1 = DenseMatrix::random_features(74, 16, 4);
+    let w2 = DenseMatrix::random_features(16, 8, 5);
+    let w1t = w1.transposed();
+    let mut g = c.benchmark_group("hc_dense");
+    // Forward `X·W1` and `H1·W2`, backward `(Ā·dZ1)·W1ᵀ`.
+    for (name, a, b) in [
+        ("matmul_13366x74x16", &x, &w1),
+        ("matmul_13366x16x8", &h1, &w2),
+        ("matmul_13366x16x74", &dz1, &w1t),
+    ] {
+        g.bench_function(BenchmarkId::from_parameter(name), |bch| {
+            bch.iter(|| a.matmul(b))
+        });
+    }
+    // Backward `dW1 = Xᵀ·(Ā·dZ1)`.
+    g.bench_function(BenchmarkId::from_parameter("t_matmul_74x13366x16"), |bch| {
+        bch.iter(|| x.t_matmul(&dz1))
+    });
+    g.finish();
+}
+
+criterion_group!(benches, bench_epoch, bench_dense);
 criterion_main!(benches);

@@ -111,7 +111,7 @@ impl DeepGcn {
                 dev,
             );
             run = run.then(&r);
-            let dw = cache.h[i].transposed().matmul(&f.aggregated);
+            let dw = cache.h[i].t_matmul(&f.aggregated);
             grads.push(dw);
             grad = f.out;
         }

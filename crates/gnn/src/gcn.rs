@@ -30,7 +30,7 @@ pub struct GcnCache {
     pub h1: DenseMatrix,
     /// `H1·W2`.
     pub h1w2: DenseMatrix,
-    /// Pre-ReLU layer-1 aggregation (needed nowhere, ReLU mask uses h1).
+    /// `Ā·(H1·W2)` — the layer-2 output, the logits that feed the loss.
     pub logits: DenseMatrix,
 }
 
@@ -100,7 +100,7 @@ impl Gcn {
         // dW2 = H1ᵀ·(Ā·dLogits).
         let r = gemm_run(self.w2.rows, self.w2.cols, cache.h1.rows, dev);
         run = run.then(&r);
-        let dw2 = cache.h1.transposed().matmul(&f2.aggregated);
+        let dw2 = cache.h1.t_matmul(&f2.aggregated);
         let dh1 = f2.out;
 
         // ---- Layer 1 ----
@@ -114,7 +114,7 @@ impl Gcn {
         // dW1 = Xᵀ·(Ā·dZ1).
         let r = gemm_run(self.w1.rows, self.w1.cols, x.rows, dev);
         run = run.then(&r);
-        let dw1 = x.transposed().matmul(&f1.aggregated);
+        let dw1 = x.t_matmul(&f1.aggregated);
 
         // ---- SGD ----
         let r = ops::sgd_step(&mut self.w2, &dw2, lr, dev);

@@ -105,7 +105,7 @@ impl Gin {
         // ---- Layer 2 ----
         // dW2 = (S·H1)ᵀ·dLogits.
         let mut run = gemm_run(self.w2.rows, self.w2.cols, cache.sh1.rows, dev);
-        let dw2 = cache.sh1.transposed().matmul(dlogits);
+        let dw2 = cache.sh1.t_matmul(dlogits);
         // d(S·H1) = dLogits·W2ᵀ (Update), then dH1 = Sᵀ·… = S·… (Agg).
         let r = gemm_run(dlogits.rows, self.w2.rows, self.w2.cols, dev);
         run = run.then(&r);
@@ -119,7 +119,7 @@ impl Gin {
         // dW1 = (S·X)ᵀ·dZ1.
         let r = gemm_run(self.w1.rows, self.w1.cols, cache.sx.rows, dev);
         run = run.then(&r);
-        let dw1 = cache.sx.transposed().matmul(&dz1);
+        let dw1 = cache.sx.t_matmul(&dz1);
         // dX path (computed for generality): S·(dZ1·W1ᵀ).
         let r = gemm_run(dz1.rows, self.w1.rows, self.w1.cols, dev);
         run = run.then(&r);

@@ -59,46 +59,79 @@ pub fn relu_backward(
     (out, elementwise_run(2 * n, n, dev))
 }
 
+/// Rows per pool block of [`softmax_cross_entropy`].
+const SOFTMAX_BLOCK_ROWS: usize = 64;
+
+/// Work units charged per `exp` in the pool's work hint (an f64 `exp`
+/// costs tens of the simple scalar operations a unit stands for).
+const EXP_WORK: u64 = 32;
+
 /// Softmax cross-entropy over rows: returns `(mean loss, dLogits)` plus the
 /// kernel run. `labels[i]` is row `i`'s class.
 ///
-/// Rows are independent, so each is computed on the `hc-parallel` pool;
-/// the per-row loss partials are then folded in row order on the calling
-/// thread, keeping the total bit-identical to the serial loop.
+/// Rows are independent, so blocks of rows run on the `hc-parallel` pool,
+/// each row in one pass over a per-block exp buffer. The per-row losses
+/// are then folded in row order on the calling thread, keeping the total
+/// bit-identical to the serial loop.
+///
+/// # Panics
+///
+/// If `labels.len() != logits.rows`, or if a label is not below
+/// `logits.cols`.
 pub fn softmax_cross_entropy(
     logits: &DenseMatrix,
     labels: &[usize],
     dev: &DeviceSpec,
 ) -> (f64, DenseMatrix, KernelRun) {
-    assert_eq!(logits.rows, labels.len());
-    let work = 8 * logits.data.len() as u64;
-    let rows: Vec<(f64, Vec<f32>)> = hc_parallel::par_map_indexed(logits.rows, work, |r| {
-        let y = labels[r];
-        let row = logits.row(r);
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let exps: Vec<f64> = row.iter().map(|&v| ((v - max) as f64).exp()).collect();
-        let sum: f64 = exps.iter().sum();
-        debug_assert!(y < logits.cols);
-        let loss = -(exps[y] / sum).max(1e-30).ln();
-        let g: Vec<f32> = exps
-            .iter()
-            .enumerate()
-            .map(|(c, &e)| {
-                let p = e / sum;
-                (p - if c == y { 1.0 } else { 0.0 }) as f32 / logits.rows as f32
-            })
-            .collect();
-        (loss, g)
-    });
-    let mut grad = DenseMatrix::zeros(logits.rows, logits.cols);
-    let mut loss = 0.0f64;
-    for (r, (l, g)) in rows.into_iter().enumerate() {
-        loss += l;
-        grad.row_mut(r).copy_from_slice(&g);
+    let (rows, cols) = (logits.rows, logits.cols);
+    assert_eq!(rows, labels.len());
+    for (r, &y) in labels.iter().enumerate() {
+        assert!(
+            y < cols,
+            "softmax_cross_entropy: row {r} has label {y}, but the logits have {cols} classes"
+        );
     }
+    let mut grad = DenseMatrix::zeros(rows, cols);
+    let mut losses = vec![0.0f64; rows];
+    // Every row has a label below `cols`, so rows > 0 implies cols > 0.
+    if cols > 0 {
+        let mut blocks: Vec<(&mut [f32], &mut [f64])> = grad
+            .data
+            .chunks_mut(SOFTMAX_BLOCK_ROWS * cols)
+            .zip(losses.chunks_mut(SOFTMAX_BLOCK_ROWS))
+            .collect();
+        let work = (EXP_WORK + 8) * logits.data.len() as u64;
+        hc_parallel::par_chunks_mut(&mut blocks, 1, work, |blk, block| {
+            let (grad, losses) = &mut block[0];
+            let mut exps = vec![0.0f64; cols];
+            let r0 = blk * SOFTMAX_BLOCK_ROWS;
+            for (i, (g, loss)) in grad.chunks_mut(cols).zip(losses.iter_mut()).enumerate() {
+                *loss = softmax_row(logits.row(r0 + i), labels[r0 + i], rows, &mut exps, g);
+            }
+        });
+    }
+    // Folded from `+0.0` like the serial loop; a row's loss can be `−0.0`.
+    let loss = losses.iter().fold(0.0f64, |acc, l| acc + l);
     let n = logits.data.len() as u64;
     let run = elementwise_run(2 * n, n, dev);
-    (loss / logits.rows as f64, grad, run)
+    (loss / rows as f64, grad, run)
+}
+
+/// One row of [`softmax_cross_entropy`]: writes the row's gradient
+/// (scaled by `1 / rows`) into `g` and returns its loss. `exps` is a
+/// scratch buffer of the row's length.
+fn softmax_row(row: &[f32], y: usize, rows: usize, exps: &mut [f64], g: &mut [f32]) -> f64 {
+    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let mut sum = 0.0f64;
+    for (e, &v) in exps.iter_mut().zip(row) {
+        *e = ((v - max) as f64).exp();
+        sum += *e;
+    }
+    for (c, (g, &e)) in g.iter_mut().zip(exps.iter()).enumerate() {
+        let p = e / sum;
+        *g = (p - if c == y { 1.0 } else { 0.0 }) as f32 / rows as f32;
+    }
+    -(exps[y] / sum).max(1e-30).ln()
 }
 
 /// SGD step `w -= lr · dw`, in place, with its kernel cost.
@@ -159,6 +192,75 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The per-row softmax cross-entropy the block-parallel one replaced:
+    /// two heap vectors per row, losses folded in row order.
+    fn softmax_oracle(logits: &DenseMatrix, labels: &[usize]) -> (f64, DenseMatrix) {
+        let rows: Vec<(f64, Vec<f32>)> = (0..logits.rows)
+            .map(|r| {
+                let y = labels[r];
+                let row = logits.row(r);
+                let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                let exps: Vec<f64> = row.iter().map(|&v| ((v - max) as f64).exp()).collect();
+                let sum: f64 = exps.iter().sum();
+                let loss = -(exps[y] / sum).max(1e-30).ln();
+                let g: Vec<f32> = exps
+                    .iter()
+                    .enumerate()
+                    .map(|(c, &e)| {
+                        let p = e / sum;
+                        (p - if c == y { 1.0 } else { 0.0 }) as f32 / logits.rows as f32
+                    })
+                    .collect();
+                (loss, g)
+            })
+            .collect();
+        let mut grad = DenseMatrix::zeros(logits.rows, logits.cols);
+        let mut loss = 0.0f64;
+        for (r, (l, g)) in rows.into_iter().enumerate() {
+            loss += l;
+            grad.row_mut(r).copy_from_slice(&g);
+        }
+        (loss / logits.rows as f64, grad)
+    }
+
+    #[test]
+    fn softmax_matches_the_per_row_oracle_bit_for_bit() {
+        let dev = DeviceSpec::rtx3090();
+        let saved = hc_parallel::thread_override();
+        hc_parallel::set_parallel_mode(hc_parallel::ParallelMode::Force);
+        for classes in [1usize, 2, 8, 33, 100] {
+            // Row counts around and between the pool's block size, none a
+            // multiple of it; one row of logits large enough that the
+            // label's probability underflows to the 1e-30 floor.
+            for rows in [1usize, 63, 65, 130, 201] {
+                let mut logits =
+                    DenseMatrix::random_features(rows, classes, rows as u64).scale(8.0);
+                logits.row_mut(rows / 2)[0] = 1e4;
+                let labels: Vec<usize> = (0..rows).map(|r| (r * 7 + 3) % classes).collect();
+                let (want_loss, want_grad) = softmax_oracle(&logits, &labels);
+                for threads in [1, 2, 8] {
+                    hc_parallel::set_threads(threads);
+                    let (loss, grad, _) = softmax_cross_entropy(&logits, &labels, &dev);
+                    let at = format!("{classes} classes, {rows} rows, {threads} threads");
+                    assert_eq!(loss.to_bits(), want_loss.to_bits(), "loss, {at}");
+                    let bits =
+                        |m: &DenseMatrix| m.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&grad), bits(&want_grad), "gradient, {at}");
+                }
+            }
+        }
+        hc_parallel::set_parallel_mode(hc_parallel::ParallelMode::Auto);
+        hc_parallel::set_threads(saved);
+    }
+
+    #[test]
+    #[should_panic(expected = "row 2 has label 3, but the logits have 3 classes")]
+    fn softmax_rejects_an_out_of_range_label() {
+        let dev = DeviceSpec::rtx3090();
+        let logits = DenseMatrix::random_features(4, 3, 5);
+        softmax_cross_entropy(&logits, &[0, 1, 3, 2], &dev);
     }
 
     #[test]

@@ -75,26 +75,82 @@ impl DenseMatrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Dense matrix multiply `self · other` (reference implementation; the
-    /// simulated gemm kernel lives in the `gnn` crate). Output rows are
-    /// computed on the `hc-parallel` pool, each accumulated in the serial
-    /// k-order, so results match the serial loop bit-for-bit.
+    /// Dense matrix multiply `self · other`: the host numerics of the
+    /// GNN Update gemm, whose simulated kernel is
+    /// `hc_core::fusion::gemm_run`.
+    ///
+    /// Each output element starts at `+0.0` and adds `self[r][k] ·
+    /// other[k][c]` for k ascending, a separate f32 multiply and add, with
+    /// a zero multiplier adding nothing — the serial triple loop's bits at
+    /// any thread count. The work runs as 4 × 8 register tiles over
+    /// packed panels; the pool gets blocks of output rows.
     pub fn matmul(&self, other: &DenseMatrix) -> DenseMatrix {
         assert_eq!(self.cols, other.rows, "matmul dimension mismatch");
-        let mut out = DenseMatrix::zeros(self.rows, other.cols);
-        if self.rows == 0 || other.cols == 0 {
+        let (kd, n) = (self.cols, other.cols);
+        let mut out = DenseMatrix::zeros(self.rows, n);
+        if out.data.is_empty() || kd == 0 {
             return out;
         }
-        let work = 2 * self.rows as u64 * self.cols as u64 * other.cols as u64;
-        hc_parallel::par_chunks_mut(&mut out.data, other.cols, work, |r, out_row| {
-            for k in 0..self.cols {
-                let a = self[(r, k)];
-                if a == 0.0 {
-                    continue;
+        let skip_zero = !other.data.iter().all(|v| v.is_finite());
+        let mut b = Vec::with_capacity(n.div_ceil(NR) * kd);
+        for c0 in (0..n).step_by(NR) {
+            pack_cols(other, 0..kd, c0, &mut b);
+        }
+        let panels: Vec<&[[f32; NR]]> = b.chunks_exact(kd).collect();
+        let work = 2 * self.rows as u64 * kd as u64 * n as u64;
+        hc_parallel::par_chunks_mut(&mut out.data, BLOCK_ROWS * n, work, |blk, rows| {
+            let mut a = Vec::with_capacity(kd);
+            let nrows = rows.len() / n;
+            for t0 in (0..nrows).step_by(MR) {
+                let mr = MR.min(nrows - t0);
+                pack_rows(self, blk * BLOCK_ROWS + t0, mr, &mut a);
+                let tile_rows = &mut rows[t0 * n..(t0 + mr) * n];
+                for (p, panel) in panels.iter().enumerate() {
+                    let acc = tile(skip_zero, [[0.0; NR]; MR], &a, panel);
+                    store(&acc, tile_rows, n, p * NR);
                 }
-                let orow = other.row(k);
-                for (o, &b) in out_row.iter_mut().zip(orow) {
-                    *o += a * b;
+            }
+        });
+        out
+    }
+
+    /// `selfᵀ · other` without building the transpose: the weight
+    /// gradients `Hᵀ · G` of the GNN backward pass.
+    ///
+    /// Bit-identical to `self.transposed().matmul(other)`: each output
+    /// element adds `self[k][r] · other[k][c]` for k ascending from
+    /// `+0.0`, a zero multiplier adding nothing. The pool gets blocks of
+    /// output rows; each block walks the rows of `self` and `other` in
+    /// ascending, cache-sized panels and carries its register tiles from
+    /// one panel to the next through the output.
+    pub fn t_matmul(&self, other: &DenseMatrix) -> DenseMatrix {
+        assert_eq!(self.rows, other.rows, "t_matmul dimension mismatch");
+        let (kd, n) = (self.rows, other.cols);
+        let mut out = DenseMatrix::zeros(self.cols, n);
+        if out.data.is_empty() || kd == 0 {
+            return out;
+        }
+        let skip_zero = !other.data.iter().all(|v| v.is_finite());
+        let work = 2 * self.cols as u64 * kd as u64 * n as u64;
+        hc_parallel::par_chunks_mut(&mut out.data, BLOCK_ROWS_T * n, work, |blk, rows| {
+            let mut a = Vec::with_capacity(PANEL);
+            let mut b = Vec::with_capacity(n.div_ceil(NR) * PANEL);
+            let nrows = rows.len() / n;
+            for k0 in (0..kd).step_by(PANEL) {
+                let ks = k0..(k0 + PANEL).min(kd);
+                b.clear();
+                for c0 in (0..n).step_by(NR) {
+                    pack_cols(other, ks.clone(), c0, &mut b);
+                }
+                for t0 in (0..nrows).step_by(MR) {
+                    let mr = MR.min(nrows - t0);
+                    a.clear();
+                    pack_cols(self, ks.clone(), blk * BLOCK_ROWS_T + t0, &mut a);
+                    let tile_rows = &mut rows[t0 * n..(t0 + mr) * n];
+                    for (p, panel) in b.chunks_exact(ks.len()).enumerate() {
+                        let acc = tile(skip_zero, load(tile_rows, n, p * NR), &a, panel);
+                        store(&acc, tile_rows, n, p * NR);
+                    }
                 }
             }
         });
@@ -186,6 +242,121 @@ impl IndexMut<(usize, usize)> for DenseMatrix {
     }
 }
 
+/// Output rows of one register tile of the dense kernels.
+const MR: usize = 4;
+/// Output columns of one register tile (two 4-lane vectors).
+const NR: usize = 8;
+/// Output rows per pool block of [`DenseMatrix::matmul`].
+const BLOCK_ROWS: usize = 8 * MR;
+/// Output rows per pool block of [`DenseMatrix::t_matmul`]: one 64-byte
+/// line of each row of `self`.
+const BLOCK_ROWS_T: usize = 4 * MR;
+/// Rows of `self` and `other` per cache panel of
+/// [`DenseMatrix::t_matmul`].
+const PANEL: usize = 256;
+
+/// An `MR × NR` accumulator tile.
+type Acc = [[f32; NR]; MR];
+
+/// Run one register tile over a k-major panel pair: `acc[i][j] +=
+/// a[k][i] · b[k][j]` for k ascending, as a separate multiply and add.
+///
+/// With `skip_zero` a zero multiplier adds nothing, so `0·inf` and
+/// `0·NaN` never reach the sum. Without it the caller has checked that
+/// every `b` is finite: a zero multiplier then adds `±0`, which leaves the
+/// accumulator's bits alone. An accumulator that starts at `+0.0` never
+/// becomes `−0.0`, since round-to-nearest gives `+0` for `x + (−x)` and
+/// for `+0 + −0`. Both variants give the bits of the scalar loop that
+/// skips zero multipliers.
+#[inline]
+fn tile(skip_zero: bool, acc: Acc, a: &[[f32; MR]], b: &[[f32; NR]]) -> Acc {
+    if skip_zero {
+        tile_k::<true>(acc, a, b)
+    } else {
+        tile_k::<false>(acc, a, b)
+    }
+}
+
+#[inline(always)]
+fn tile_k<const SKIP_ZERO: bool>(mut acc: Acc, a: &[[f32; MR]], b: &[[f32; NR]]) -> Acc {
+    for (ak, bk) in a.iter().zip(b) {
+        for (row, &av) in acc.iter_mut().zip(ak) {
+            for (o, &bv) in row.iter_mut().zip(bk) {
+                let p = av * bv;
+                *o += if SKIP_ZERO && av == 0.0 { 0.0 } else { p };
+            }
+        }
+    }
+    acc
+}
+
+/// Append columns `c0 .. c0 + W` of rows `ks` of `m` to `out` as k-major
+/// tiles, zero-padded past `m.cols`.
+fn pack_cols<const W: usize>(
+    m: &DenseMatrix,
+    ks: std::ops::Range<usize>,
+    c0: usize,
+    out: &mut Vec<[f32; W]>,
+) {
+    let rows = m.data[ks.start * m.cols..ks.end * m.cols].chunks_exact(m.cols);
+    if c0 + W <= m.cols {
+        out.extend(rows.map(|row| {
+            let mut t = [0.0; W];
+            t.copy_from_slice(&row[c0..c0 + W]);
+            t
+        }));
+    } else {
+        out.extend(rows.map(|row| {
+            let mut t = [0.0; W];
+            for (t, &v) in t.iter_mut().zip(&row[c0..]) {
+                *t = v;
+            }
+            t
+        }));
+    }
+}
+
+/// Pack the `mr <= MR` rows from `r0` of `m` into `out` as k-major tiles
+/// (one per column), zero-padded to `MR` lanes.
+fn pack_rows(m: &DenseMatrix, r0: usize, mr: usize, out: &mut Vec<[f32; MR]>) {
+    out.clear();
+    out.resize(m.cols, [0.0; MR]);
+    for i in 0..mr {
+        for (t, &v) in out.iter_mut().zip(m.row(r0 + i)) {
+            t[i] = v;
+        }
+    }
+}
+
+/// The tile at column `c0` of `tile_rows`, up to `MR` output rows of
+/// width `n`.
+fn load(tile_rows: &[f32], n: usize, c0: usize) -> Acc {
+    let mut acc = [[0.0; NR]; MR];
+    for (a, row) in acc.iter_mut().zip(tile_rows.chunks(n)) {
+        let row = &row[c0..];
+        if row.len() >= NR {
+            a.copy_from_slice(&row[..NR]);
+        } else {
+            a[..row.len()].copy_from_slice(row);
+        }
+    }
+    acc
+}
+
+/// Write `acc` back at column `c0` of `tile_rows`, up to `MR` output rows
+/// of width `n`.
+fn store(acc: &Acc, tile_rows: &mut [f32], n: usize, c0: usize) {
+    for (a, row) in acc.iter().zip(tile_rows.chunks_mut(n)) {
+        let row = &mut row[c0..];
+        if row.len() >= NR {
+            row[..NR].copy_from_slice(a);
+        } else {
+            let w = row.len();
+            row.copy_from_slice(&a[..w]);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,6 +383,17 @@ mod tests {
         let a = DenseMatrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let i = DenseMatrix::from_fn(2, 2, |r, c| if r == c { 1.0 } else { 0.0 });
         assert_eq!(a.matmul(&i), a);
+    }
+
+    #[test]
+    fn t_matmul_small() {
+        // selfᵀ is `matmul_small`'s left operand.
+        let a = DenseMatrix::from_rows(&[&[1.0, 3.0], &[2.0, 4.0]]);
+        let b = DenseMatrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
+        let c = a.t_matmul(&b);
+        assert_eq!(c.row(0), &[19.0, 22.0]);
+        assert_eq!(c.row(1), &[43.0, 50.0]);
+        assert_eq!(c, a.transposed().matmul(&b));
     }
 
     #[test]
