@@ -27,18 +27,19 @@ pub struct CpuSpmmReport {
 pub fn cpu_spmm(a: &Csr, x: &DenseMatrix) -> CpuSpmmReport {
     CpuSpmmReport {
         z: a.spmm_reference(x),
-        time_ms: cpu_spmm_time_ms(a, x),
+        time_ms: cpu_spmm_time_ms(a, x.cols),
     }
 }
 
-/// The roofline-modeled CPU time alone: the model is a pure function of the
-/// matrix shape and nnz, so timing experiments skip the reference multiply.
-pub fn cpu_spmm_time_ms(a: &Csr, x: &DenseMatrix) -> f64 {
-    let flops = 2.0 * a.nnz() as f64 * x.cols as f64;
+/// The roofline-modeled CPU time alone for a `dim`-wide X: the model is a
+/// pure function of the matrix shape, nnz and feature width, so timing
+/// experiments skip both the feature matrix and the reference multiply.
+pub fn cpu_spmm_time_ms(a: &Csr, dim: usize) -> f64 {
+    let flops = 2.0 * a.nnz() as f64 * dim as f64;
     // Per nnz: 8 B CSR entry + a gathered dense row (cache-hostile, pay a
     // 64-byte line per 16 floats) + its share of the output stream.
-    let line_per_row = (x.cols as f64 * 4.0 / 64.0).ceil() * 64.0;
-    let bytes = a.nnz() as f64 * (8.0 + line_per_row) + (a.nrows * x.cols) as f64 * 4.0;
+    let line_per_row = (dim as f64 * 4.0 / 64.0).ceil() * 64.0;
+    let bytes = a.nnz() as f64 * (8.0 + line_per_row) + (a.nrows * dim) as f64 * 4.0;
     // Framework dispatch overhead: a PyTorch sparse-op call costs ~10 µs of
     // Python/ATen plumbing before any arithmetic runs.
     const DISPATCH_S: f64 = 10e-6;

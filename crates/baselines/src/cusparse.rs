@@ -105,12 +105,12 @@ impl SpmmKernel for CusparseSpmm {
     fn spmm(&self, a: &Csr, x: &DenseMatrix, dev: &DeviceSpec) -> SpmmResult {
         SpmmResult {
             z: a.spmm_reference(x),
-            run: self.spmm_run(a, x, dev),
+            run: self.spmm_run(a, x.cols, dev),
         }
     }
 
-    fn spmm_run(&self, a: &Csr, x: &DenseMatrix, dev: &DeviceSpec) -> gpu_sim::KernelRun {
-        dev.execute(&Self::blocks(a, x.cols, dev))
+    fn spmm_run(&self, a: &Csr, dim: usize, dev: &DeviceSpec) -> gpu_sim::KernelRun {
+        dev.execute(&Self::blocks(a, dim, dev))
     }
 }
 

@@ -64,7 +64,7 @@ impl SpmmKernel for DtcSpmm {
         // Timing comes from the shared Tensor-core cost model; the numerics
         // are computed through the real ME-TCF structure (and quantized at
         // the kernel's precision), so the format itself is exercised.
-        let run = self.spmm_run(a, x, dev);
+        let run = self.spmm_run(a, x.cols, dev);
         let m = MeTcf::from_csr(a);
         let p = self.precision;
         let xq = DenseMatrix {
@@ -80,8 +80,8 @@ impl SpmmKernel for DtcSpmm {
         }
     }
 
-    fn spmm_run(&self, a: &Csr, x: &DenseMatrix, dev: &DeviceSpec) -> KernelRun {
-        self.inner().spmm_run(a, x, dev)
+    fn spmm_run(&self, a: &Csr, dim: usize, dev: &DeviceSpec) -> KernelRun {
+        self.inner().spmm_run(a, dim, dev)
     }
 }
 

@@ -58,11 +58,11 @@ impl SpmmKernel for GeSpmm {
     fn spmm(&self, a: &Csr, x: &DenseMatrix, dev: &DeviceSpec) -> SpmmResult {
         SpmmResult {
             z: a.spmm_reference(x),
-            run: self.spmm_run(a, x, dev),
+            run: self.spmm_run(a, x.cols, dev),
         }
     }
 
-    fn spmm_run(&self, a: &Csr, x: &DenseMatrix, dev: &DeviceSpec) -> gpu_sim::KernelRun {
+    fn spmm_run(&self, a: &Csr, dim: usize, dev: &DeviceSpec) -> gpu_sim::KernelRun {
         let mut blocks = Vec::with_capacity(a.nrows.div_ceil(16));
         let mut scratch: Vec<u32> = Vec::new();
         for start in (0..a.nrows).step_by(16) {
@@ -83,7 +83,7 @@ impl SpmmKernel for GeSpmm {
                 scratch.dedup();
                 group_distinct += scratch.len();
             }
-            blocks.push(Self::group_cost(hi - lo, group_distinct, rows, x.cols, dev));
+            blocks.push(Self::group_cost(hi - lo, group_distinct, rows, dim, dev));
         }
         dev.execute(&blocks)
     }

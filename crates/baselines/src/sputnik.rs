@@ -30,7 +30,7 @@ impl SpmmKernel for SputnikHalfSpmm {
     }
 
     fn spmm(&self, a: &Csr, x: &DenseMatrix, dev: &DeviceSpec) -> SpmmResult {
-        let run = self.spmm_run(a, x, dev);
+        let run = self.spmm_run(a, x.cols, dev);
         // Numerics at fp16 operand precision, fp32 accumulate.
         let p = gpu_sim::Precision::Fp16;
         let mut z = graph_sparse::DenseMatrix::zeros(a.nrows, x.cols);
@@ -47,14 +47,14 @@ impl SpmmKernel for SputnikHalfSpmm {
         SpmmResult { z, run }
     }
 
-    fn spmm_run(&self, a: &Csr, x: &DenseMatrix, dev: &DeviceSpec) -> gpu_sim::KernelRun {
+    fn spmm_run(&self, a: &Csr, dim: usize, dev: &DeviceSpec) -> gpu_sim::KernelRun {
         let part = RowWindowPartition::build(a);
         let blocks: Vec<BlockCost> = part
             .windows
             .iter()
             .filter(|w| !w.is_empty())
             .map(|w| {
-                let mut b = SputnikSpmm::tile_cost(w.nnz, w.nnz_cols(), w.rows, x.cols, dev);
+                let mut b = SputnikSpmm::tile_cost(w.nnz, w.nnz_cols(), w.rows, dim, dev);
                 // Halve every operand stream (values, dense rows, output)
                 // and the vector-load transaction count.
                 b.dram.bytes_loaded /= 2;
@@ -108,11 +108,11 @@ impl SpmmKernel for SputnikSpmm {
     fn spmm(&self, a: &Csr, x: &DenseMatrix, dev: &DeviceSpec) -> SpmmResult {
         SpmmResult {
             z: a.spmm_reference(x),
-            run: self.spmm_run(a, x, dev),
+            run: self.spmm_run(a, x.cols, dev),
         }
     }
 
-    fn spmm_run(&self, a: &Csr, x: &DenseMatrix, dev: &DeviceSpec) -> gpu_sim::KernelRun {
+    fn spmm_run(&self, a: &Csr, dim: usize, dev: &DeviceSpec) -> gpu_sim::KernelRun {
         // 1-D tiles are strips of 16 rows — reuse RowWindowPartition to get
         // per-strip distinct-column counts.
         let part = RowWindowPartition::build(a);
@@ -120,7 +120,7 @@ impl SpmmKernel for SputnikSpmm {
             .windows
             .iter()
             .filter(|w| !w.is_empty())
-            .map(|w| Self::tile_cost(w.nnz, w.nnz_cols(), w.rows, x.cols, dev))
+            .map(|w| Self::tile_cost(w.nnz, w.nnz_cols(), w.rows, dim, dev))
             .collect();
         dev.execute(&blocks)
     }

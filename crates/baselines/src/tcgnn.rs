@@ -73,8 +73,8 @@ impl SpmmKernel for TcGnnSpmm {
         self.inner().spmm(a, x, dev)
     }
 
-    fn spmm_run(&self, a: &Csr, x: &DenseMatrix, dev: &DeviceSpec) -> KernelRun {
-        self.inner().spmm_run(a, x, dev)
+    fn spmm_run(&self, a: &Csr, dim: usize, dev: &DeviceSpec) -> KernelRun {
+        self.inner().spmm_run(a, dim, dev)
     }
 }
 

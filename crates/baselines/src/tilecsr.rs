@@ -79,7 +79,7 @@ impl SpmmKernel for TileCsrSpmm {
     }
 
     fn spmm(&self, a: &Csr, x: &DenseMatrix, dev: &DeviceSpec) -> SpmmResult {
-        let run = self.spmm_run(a, x, dev);
+        let run = self.spmm_run(a, x.cols, dev);
         // Half-precision operands, FP32 accumulate.
         let p = Precision::Fp16;
         let mut z = DenseMatrix::zeros(a.nrows, x.cols);
@@ -96,7 +96,7 @@ impl SpmmKernel for TileCsrSpmm {
         SpmmResult { z, run }
     }
 
-    fn spmm_run(&self, a: &Csr, x: &DenseMatrix, dev: &DeviceSpec) -> gpu_sim::KernelRun {
+    fn spmm_run(&self, a: &Csr, dim: usize, dev: &DeviceSpec) -> gpu_sim::KernelRun {
         let mut blocks = Vec::with_capacity(a.nrows.div_ceil(TILE));
         for start in (0..a.nrows).step_by(TILE) {
             let rows = TILE.min(a.nrows - start);
@@ -104,7 +104,7 @@ impl SpmmKernel for TileCsrSpmm {
             if nnz == 0 {
                 continue;
             }
-            blocks.push(Self::band_cost(tiles, nnz, rows, x.cols, dev));
+            blocks.push(Self::band_cost(tiles, nnz, rows, dim, dev));
         }
         dev.execute(&blocks)
     }

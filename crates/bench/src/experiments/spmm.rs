@@ -6,15 +6,16 @@ use baselines::{
     TileCsrSpmm,
 };
 use gpu_sim::{DeviceKind, DeviceSpec, Precision};
-use graph_sparse::{gen, DatasetId, DenseMatrix};
+use graph_sparse::{gen, DatasetId};
 use hc_core::{HcSpmm, SpmmKernel};
 
 use crate::harness::{bar_chart, f3, geomean, DatasetCache, Table};
 
-/// Per-dataset feature matrix with the Table II dimension.
-fn features_for(cache: &mut DatasetCache, id: DatasetId) -> DenseMatrix {
-    let ds = cache.get(id);
-    DenseMatrix::random_features(ds.adj.nrows, ds.spec.dim.min(512), id as u64)
+/// Per-dataset feature width: the Table II dimension. Every table here
+/// reads simulated (or roofline-modeled) time only, which depends on the
+/// width and never on feature values, so no feature matrix is built.
+fn dim_for(cache: &mut DatasetCache, id: DatasetId) -> usize {
+    cache.get(id).spec.dim.min(512)
 }
 
 /// Fig. 10: all kernels on the SpMM datasets, normalized to cuSPARSE
@@ -41,20 +42,20 @@ pub fn fig10(cache: &mut DatasetCache, dev: &DeviceSpec) -> String {
     let mut speedups: Vec<Vec<f64>> = vec![Vec::new(); kernels.len()];
     let mut cpu_speedups = Vec::new();
     for id in DatasetId::ALL {
-        let x = features_for(cache, id);
+        let dim = dim_for(cache, id);
         let a = cache.get(id).adj.clone();
-        let base = CusparseSpmm.spmm_run(&a, &x, dev).time_ms;
+        let base = CusparseSpmm.spmm_run(&a, dim, dev).time_ms;
         let mut cells = vec![id.code().to_string(), f3(base * 1e3)];
         let mut hc_ms = base;
         for (k, kern) in kernels.iter().enumerate() {
-            let ms = kern.spmm_run(&a, &x, dev).time_ms;
+            let ms = kern.spmm_run(&a, dim, dev).time_ms;
             speedups[k].push(base / ms);
             cells.push(format!("{:.2}x", base / ms));
             if k + 1 == kernels.len() {
                 hc_ms = ms; // HC-SpMM is last; reuse its measurement
             }
         }
-        let cpu = cpu_spmm_time_ms(&a, &x);
+        let cpu = cpu_spmm_time_ms(&a, dim);
         cpu_speedups.push(cpu / hc_ms);
         cells.push(format!("{:.0}x", cpu / hc_ms));
         t.row(cells);
@@ -95,8 +96,7 @@ pub fn table10(dev: &DeviceSpec) -> String {
     for kern in &kernels {
         let mut cells = vec![kern.name().to_string()];
         for m in &mats {
-            let x = DenseMatrix::random_features(m.ncols, 32, 9);
-            cells.push(f3(kern.spmm_run(m, &x, dev).time_ms * 1e3));
+            cells.push(f3(kern.spmm_run(m, 32, dev).time_ms * 1e3));
         }
         t.row(cells);
     }
@@ -112,11 +112,11 @@ pub fn table16(cache: &mut DatasetCache) -> String {
         "Dataset", "GPU", "Sputnik", "GE-SpMM", "TC-GNN", "DTC-SpMM", "cuSPARSE", "HC-SpMM",
     ]);
     for id in DatasetId::ALL {
-        let x = features_for(cache, id);
+        let dim = dim_for(cache, id);
         let a = cache.get(id).adj.clone();
         for kind in DeviceKind::ALL {
             let dev = DeviceSpec::new(kind);
-            let us = |k: &dyn SpmmKernel| f3(k.spmm_run(&a, &x, &dev).time_ms * 1e3);
+            let us = |k: &dyn SpmmKernel| f3(k.spmm_run(&a, dim, &dev).time_ms * 1e3);
             t.row(vec![
                 id.code().into(),
                 kind.name().into(),
@@ -147,9 +147,9 @@ pub fn table07(cache: &mut DatasetCache, dev: &DeviceSpec) -> String {
         "HC-SpMM(bfloat)",
     ]);
     for id in DatasetId::SPMM_SET {
-        let x = features_for(cache, id);
+        let dim = dim_for(cache, id);
         let a = cache.get(id).adj.clone();
-        let us = |k: &dyn SpmmKernel| f3(k.spmm_run(&a, &x, dev).time_ms * 1e3);
+        let us = |k: &dyn SpmmKernel| f3(k.spmm_run(&a, dim, dev).time_ms * 1e3);
         t.row(vec![
             id.code().into(),
             us(&SputnikHalfSpmm),
@@ -171,17 +171,17 @@ pub fn table07(cache: &mut DatasetCache, dev: &DeviceSpec) -> String {
 pub fn table11(cache: &mut DatasetCache, dev: &DeviceSpec) -> String {
     let mut t = Table::new(&["Dataset", "DTC-SpMM", "TC-GNN", "HC-SpMM", "HC pre/SpMM"]);
     for id in DatasetId::ABLATION_SET {
-        let x = features_for(cache, id);
+        let dim = dim_for(cache, id);
         let a = cache.get(id).adj.clone();
         let hc = HcSpmm::default();
         let pre = hc.preprocess(&a, dev);
-        let spmm = hc.spmm_preprocessed(&pre, &a, &x, dev);
+        let spmm_ms = hc.spmm_preprocessed_run(&pre, dim, dev).time_ms;
         t.row(vec![
             id.code().into(),
             f3(DtcSpmm::default().preprocess_run(&a, dev).time_ms),
             f3(TcGnnSpmm::default().preprocess_run(&a, dev).time_ms),
             f3(pre.run.time_ms),
-            format!("{:.1}x", pre.run.time_ms / spmm.run.time_ms),
+            format!("{:.1}x", pre.run.time_ms / spmm_ms),
         ]);
     }
     format!("Table XI: preprocessing overhead (ms)\n{}", t.render())

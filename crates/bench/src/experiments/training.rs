@@ -8,7 +8,7 @@ use gnn::train::{mean_timing, synthetic_labels, Trainer};
 use gnn::{Gcn, Gin};
 use gpu_sim::DeviceSpec;
 use graph_sparse::{DatasetId, DenseMatrix};
-use hc_core::fusion::{fused_agg_update, unfused_agg_update};
+use hc_core::fusion::{fused_agg_update_run, unfused_agg_update_run};
 use hc_core::HcSpmm;
 
 use crate::harness::{f3, DatasetCache, Table};
@@ -132,11 +132,11 @@ pub fn table06(cache: &mut DatasetCache, dev: &DeviceSpec) -> String {
         let dim = ds.spec.dim.min(512);
         let a = ds.adj.gcn_normalize();
         let g = DenseMatrix::random_features(a.nrows, dim, id as u64);
-        let w = DenseMatrix::random_features(dim, HIDDEN, 7);
         let hc = HcSpmm::default();
         let pre = hc.preprocess(&a, dev);
-        let tf = fused_agg_update(&hc, &pre, &a, &g, &w, dev).run.time_ms;
-        let tu = unfused_agg_update(&hc, &pre, &a, &g, &w, dev).run.time_ms;
+        let (_, fused) = fused_agg_update_run(&hc, &pre, &a, &g, HIDDEN, dev);
+        let (_, unfused) = unfused_agg_update_run(&hc, &pre, &a, &g, HIDDEN, dev);
+        let (tf, tu) = (fused.time_ms, unfused.time_ms);
         t.row(vec![
             id.code().into(),
             format!("{}ms", f3(tf)),

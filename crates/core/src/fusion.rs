@@ -15,9 +15,9 @@
 use gpu_sim::{coalesced_transactions, BlockCost, DeviceSpec, KernelRun};
 use graph_sparse::{Csr, DenseMatrix};
 
+use crate::kernels::assert_operand_rows;
 use crate::kernels::hybrid::HcSpmm;
 use crate::preprocess::Preprocessed;
-use crate::selector::CoreChoice;
 
 /// Block costs for a dense `m×k · k×n` GEMM on Tensor cores (64×64 output
 /// tiles, ideal L2 reuse — the cuBLAS model used for every Update phase).
@@ -74,35 +74,29 @@ pub struct AggUpdateResult {
     pub run: KernelRun,
 }
 
-/// Fused Aggregation+Update: one launch; per-window SpMM into shared memory,
-/// then an in-block Tensor-core multiply by `w`.
-pub fn fused_agg_update(
+/// The fused launch for an Update of width `update_cols`, with only the
+/// aggregation `Ā · G` computed: one launch; per-window SpMM into shared
+/// memory, then an in-block Tensor-core multiply by a `g.cols ×
+/// update_cols` weight. Callers that read `(Ā·G)·W` layer the product on
+/// top ([`fused_agg_update`]); callers that bill it but never read it (a
+/// GNN's unread dX product) stop here.
+pub fn fused_agg_update_run(
     hc: &HcSpmm,
     pre: &Preprocessed,
     a: &Csr,
     g: &DenseMatrix,
-    w: &DenseMatrix,
+    update_cols: usize,
     dev: &DeviceSpec,
-) -> AggUpdateResult {
-    assert_eq!(a.ncols, g.rows);
-    assert_eq!(g.cols, w.rows);
-    let (d, h) = (w.rows, w.cols);
+) -> (DenseMatrix, KernelRun) {
+    assert_operand_rows(a, g.rows);
+    let (d, h) = (g.cols, update_cols);
 
     let mut blocks = Vec::with_capacity(pre.partition.len() + 1);
-    for (win, choice) in pre.partition.windows.iter().zip(&pre.choices) {
+    for (win, &choice) in pre.partition.windows.iter().zip(&pre.choices) {
         if win.is_empty() {
             continue;
         }
-        let mut b = match choice {
-            CoreChoice::Cuda => {
-                hc.cuda
-                    .window_block_cost(win.nnz, win.nnz_cols(), win.rows, d, dev)
-            }
-            CoreChoice::Tensor => {
-                hc.tensor
-                    .window_block_cost(win.nnz, win.nnz_cols(), win.rows, d, dev)
-            }
-        };
+        let mut b = hc.window_cost(win, choice, d, dev);
         // The aggregation result stays in shared memory instead of global:
         // remove the Z store, add shared traffic for it.
         let z_bytes = (win.rows * d) as u64 * 4;
@@ -132,17 +126,47 @@ pub fn fused_agg_update(
     blocks.push(wblock);
 
     let run = dev.execute(&blocks);
-    let aggregated = hc.numeric(pre, a, g);
-    let out = aggregated.matmul(w);
+    (hc.numeric(pre, a, g), run)
+}
+
+/// Fused Aggregation+Update: [`fused_agg_update_run`] with the Update
+/// `(Ā·G)·W` computed on the host.
+pub fn fused_agg_update(
+    hc: &HcSpmm,
+    pre: &Preprocessed,
+    a: &Csr,
+    g: &DenseMatrix,
+    w: &DenseMatrix,
+    dev: &DeviceSpec,
+) -> AggUpdateResult {
+    assert_eq!(g.cols, w.rows, "Update weight rows must match G's columns");
+    let (aggregated, run) = fused_agg_update_run(hc, pre, a, g, w.cols, dev);
     AggUpdateResult {
-        out,
+        out: aggregated.matmul(w),
         aggregated,
         run,
     }
 }
 
-/// The unfused comparator: Aggregation kernel (Z to global memory) followed
-/// by a separate Update GEMM (Z read back) — two launches.
+/// The unfused comparator's launches for an Update of width `update_cols`,
+/// with only the aggregation computed: Aggregation kernel (Z to global
+/// memory) followed by a separate Update GEMM (Z read back) — two
+/// launches.
+pub fn unfused_agg_update_run(
+    hc: &HcSpmm,
+    pre: &Preprocessed,
+    a: &Csr,
+    g: &DenseMatrix,
+    update_cols: usize,
+    dev: &DeviceSpec,
+) -> (DenseMatrix, KernelRun) {
+    let spmm = hc.spmm_preprocessed(pre, a, g, dev);
+    let gemm = gemm_run(a.nrows, update_cols, g.cols, dev);
+    (spmm.z, spmm.run.then(&gemm))
+}
+
+/// The unfused comparator: [`unfused_agg_update_run`] with the Update
+/// `(Ā·G)·W` computed on the host.
 pub fn unfused_agg_update(
     hc: &HcSpmm,
     pre: &Preprocessed,
@@ -151,20 +175,18 @@ pub fn unfused_agg_update(
     w: &DenseMatrix,
     dev: &DeviceSpec,
 ) -> AggUpdateResult {
-    let spmm = hc.spmm_preprocessed(pre, a, g, dev);
-    let gemm = gemm_run(a.nrows, w.cols, w.rows, dev);
-    let out = spmm.z.matmul(w);
+    let (aggregated, run) = unfused_agg_update_run(hc, pre, a, g, w.cols, dev);
     AggUpdateResult {
-        out,
-        aggregated: spmm.z,
-        run: spmm.run.then(&gemm),
+        out: aggregated.matmul(w),
+        aggregated,
+        run,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::selector::Selector;
+    use crate::selector::{CoreChoice, Selector};
     use graph_sparse::gen;
 
     fn setup(n: usize, d: usize, h: usize) -> (Csr, DenseMatrix, DenseMatrix) {

@@ -15,7 +15,7 @@ use gpu_sim::trace::{BlockTrace, CounterTrace, TraceSink, WarpOp};
 use gpu_sim::{coalesced_transactions, BlockCost, DeviceSpec, Precision};
 use graph_sparse::{Csr, DenseMatrix, RowWindowPartition};
 
-use super::{numeric_rows, SpmmKernel, SpmmResult};
+use super::{assert_operand_rows, numeric_rows, SpmmKernel, SpmmResult};
 
 /// CUDA-core SpMM kernel.
 #[derive(Debug, Clone, Copy)]
@@ -312,6 +312,7 @@ impl CudaSpmm {
     /// row, in the serial entry order — bit-identical at any thread count.
     /// Split out so a cached plan can pair it with cached block costs.
     pub fn numeric(&self, a: &Csr, x: &DenseMatrix) -> DenseMatrix {
+        assert_operand_rows(a, x.rows);
         let mut z = DenseMatrix::zeros(a.nrows, x.cols);
         if a.nrows > 0 && x.cols > 0 {
             let work = 2 * a.nnz() as u64 * x.cols as u64;
@@ -332,9 +333,9 @@ impl SpmmKernel for CudaSpmm {
         self.spmm_with_partition(&RowWindowPartition::build(a), a, x, dev)
     }
 
-    fn spmm_run(&self, a: &Csr, x: &DenseMatrix, dev: &DeviceSpec) -> gpu_sim::KernelRun {
+    fn spmm_run(&self, a: &Csr, dim: usize, dev: &DeviceSpec) -> gpu_sim::KernelRun {
         let part = RowWindowPartition::build(a);
-        dev.execute(&self.partition_block_costs(&part, x.cols, dev))
+        dev.execute(&self.partition_block_costs(&part, dim, dev))
     }
 }
 

@@ -12,7 +12,7 @@ use graph_sparse::{Csr, DenseMatrix, RowWindow};
 
 use super::cuda::CudaSpmm;
 use super::tensor::TensorSpmm;
-use super::{numeric_rows, SpmmKernel, SpmmResult};
+use super::{assert_operand_rows, numeric_rows, SpmmKernel, SpmmResult};
 use crate::preprocess::{preprocess, preprocess_oracle, Preprocessed};
 use crate::selector::{CoreChoice, SelectionPolicy, Selector};
 
@@ -105,10 +105,20 @@ impl HcSpmm {
         x: &DenseMatrix,
         dev: &DeviceSpec,
     ) -> SpmmResult {
-        let blocks = self.block_costs(pre, x.cols, dev);
-        let run = dev.execute(&blocks);
+        let run = self.spmm_preprocessed_run(pre, x.cols, dev);
         let z = self.numeric(pre, a, x);
         SpmmResult { z, run }
+    }
+
+    /// Timing-only [`spmm_preprocessed`](HcSpmm::spmm_preprocessed) for a
+    /// `dim`-wide X: the same run record, with nothing computed.
+    pub fn spmm_preprocessed_run(
+        &self,
+        pre: &Preprocessed,
+        dim: usize,
+        dev: &DeviceSpec,
+    ) -> gpu_sim::KernelRun {
+        dev.execute(&self.block_costs(pre, dim, dev))
     }
 
     /// Per-window block costs under the current assignment (used by the
@@ -216,6 +226,7 @@ impl HcSpmm {
     /// its window's output rows — results are bit-identical to the serial
     /// window loop at any thread count.
     pub fn numeric(&self, pre: &Preprocessed, a: &Csr, x: &DenseMatrix) -> DenseMatrix {
+        assert_operand_rows(a, x.rows);
         let mut z = DenseMatrix::zeros(a.nrows, x.cols);
         if a.nrows == 0 || x.cols == 0 {
             return z;
@@ -325,9 +336,8 @@ impl SpmmKernel for HcSpmm {
         self.spmm_preprocessed(&pre, a, x, dev)
     }
 
-    fn spmm_run(&self, a: &Csr, x: &DenseMatrix, dev: &DeviceSpec) -> gpu_sim::KernelRun {
-        let pre = self.preprocess(a, dev);
-        dev.execute(&self.block_costs(&pre, x.cols, dev))
+    fn spmm_run(&self, a: &Csr, dim: usize, dev: &DeviceSpec) -> gpu_sim::KernelRun {
+        self.spmm_preprocessed_run(&self.preprocess(a, dev), dim, dev)
     }
 }
 

@@ -33,16 +33,31 @@ pub trait SpmmKernel {
     /// expose it separately.
     fn spmm(&self, a: &Csr, x: &DenseMatrix, dev: &DeviceSpec) -> SpmmResult;
 
-    /// Timing-only execution: the simulated run record without the dense
-    /// numeric result. The simulated time of every kernel here is a pure
-    /// function of the block costs — it never depends on `Z` — so timing
-    /// experiments (Fig. 10, Tables VII/X/XVI) use this entry point and
-    /// skip materializing outputs they would discard. Implementations must
-    /// return exactly `self.spmm(a, x, dev).run`; the default does
-    /// literally that, overrides just skip the numeric phase.
-    fn spmm_run(&self, a: &Csr, x: &DenseMatrix, dev: &DeviceSpec) -> KernelRun {
-        self.spmm(a, x, dev).run
-    }
+    /// Timing-only execution of `A · X` for a `dim`-wide X: the simulated
+    /// run record, with no dense operand and no numeric result. Every
+    /// kernel's simulated time is a pure function of `a`'s structure, the
+    /// feature width and the device — never of X's values or of `Z` — so
+    /// timing experiments (Fig. 10, Tables VII/X/XVI) and launches whose
+    /// output nobody reads (the GNN backward's dX products) bill through
+    /// this entry point without materializing either matrix.
+    /// Implementations must return exactly `self.spmm(a, x, dev).run` for
+    /// any X with `dim` columns.
+    fn spmm_run(&self, a: &Csr, dim: usize, dev: &DeviceSpec) -> KernelRun;
+}
+
+/// Panics unless the dense operand has one row per column of `a`. The host
+/// numeric entry points check this before their pool region: a short X
+/// would otherwise panic on an unnamed slice index inside a worker, and a
+/// tall X would silently multiply only its first `a.ncols` rows.
+/// [`crate::resilient::execute_resilient`] rejects the same shapes as
+/// [`crate::HcError::ShapeMismatch`] with the same wording.
+#[track_caller]
+pub(crate) fn assert_operand_rows(a: &Csr, x_rows: usize) {
+    assert!(
+        x_rows == a.ncols,
+        "feature matrix has {x_rows} rows, graph needs {}",
+        a.ncols
+    );
 }
 
 /// The numeric row loop of the HC kernels: accumulates rows `rows` of

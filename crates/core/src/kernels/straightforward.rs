@@ -23,7 +23,7 @@ use graph_sparse::{Csr, DenseMatrix, RowWindow, RowWindowPartition};
 
 use super::cuda::CudaSpmm;
 use super::tensor::TensorSpmm;
-use super::{SpmmKernel, SpmmResult};
+use super::{assert_operand_rows, SpmmKernel, SpmmResult};
 
 /// The Fig. 4(a) per-tile hybrid kernel.
 #[derive(Debug, Clone, Copy)]
@@ -304,6 +304,7 @@ impl StraightforwardHybrid {
         a: &Csr,
         x: &DenseMatrix,
     ) -> DenseMatrix {
+        assert_operand_rows(a, x.rows);
         let tile_k = Precision::Tf32.tile_k();
         let mut z = DenseMatrix::zeros(a.nrows, x.cols);
         if a.nrows > 0 && x.cols > 0 {
@@ -363,9 +364,9 @@ impl SpmmKernel for StraightforwardHybrid {
         self.spmm_with_partition(&RowWindowPartition::build(a), a, x, dev)
     }
 
-    fn spmm_run(&self, a: &Csr, x: &DenseMatrix, dev: &DeviceSpec) -> gpu_sim::KernelRun {
+    fn spmm_run(&self, a: &Csr, dim: usize, dev: &DeviceSpec) -> gpu_sim::KernelRun {
         let part = RowWindowPartition::build(a);
-        dev.execute(&self.partition_block_costs(&part, a, x.cols, dev))
+        dev.execute(&self.partition_block_costs(&part, a, dim, dev))
     }
 }
 

@@ -22,7 +22,7 @@ use graph_sparse::{
 };
 
 use crate::features::WindowFeatures;
-use crate::kernels::SpmmResult;
+use crate::kernels::{assert_operand_rows, SpmmResult};
 use crate::loa::Loa;
 use crate::preprocess::{window_preprocess_cost, Preprocessed};
 use crate::sanitize::KernelFamily;
@@ -371,6 +371,9 @@ impl Plan {
         match &self.loa {
             None => self.execute_layout(family, a, x, dev),
             Some(l) => {
+                // The row permutation below indexes X before any numeric
+                // entry point could name a shape mismatch.
+                assert_operand_rows(a, x.rows);
                 // Route the request's values into the permuted structure,
                 // permute the feature rows to match, then map the output
                 // rows back to the original vertex order. All staging
@@ -552,6 +555,49 @@ mod tests {
                 "{} plan diverged from direct spmm",
                 family.name()
             );
+        }
+    }
+
+    /// A 512-column graph executed against an X with `rows` rows.
+    fn execute_with_x_rows(family: KernelFamily, use_loa: bool, rows: usize) {
+        let dev = DeviceSpec::rtx3090();
+        let a = gen::community(512, 4_000, 16, 0.9, 1);
+        let x = DenseMatrix::random_features(rows, 32, 2);
+        Plan::prepare(&a, PlanSpec { family, use_loa }, &dev).execute(&a, &x, &dev);
+    }
+
+    #[test]
+    #[should_panic(expected = "feature matrix has 505 rows, graph needs 512")]
+    fn execute_names_a_short_feature_matrix() {
+        execute_with_x_rows(KernelFamily::Hybrid, false, 505);
+    }
+
+    #[test]
+    #[should_panic(expected = "feature matrix has 519 rows, graph needs 512")]
+    fn execute_names_a_tall_feature_matrix() {
+        execute_with_x_rows(KernelFamily::Hybrid, false, 519);
+    }
+
+    #[test]
+    fn every_family_names_a_shape_mismatch_before_its_pool_region() {
+        for family in KernelFamily::ALL {
+            for use_loa in [false, true] {
+                for rows in [505, 519] {
+                    let err =
+                        std::panic::catch_unwind(|| execute_with_x_rows(family, use_loa, rows))
+                            .expect_err("a mismatched X must not execute");
+                    let msg = err
+                        .downcast_ref::<String>()
+                        .map_or("", String::as_str)
+                        .to_owned();
+                    assert_eq!(
+                        msg,
+                        format!("feature matrix has {rows} rows, graph needs 512"),
+                        "{} (loa {use_loa})",
+                        family.name()
+                    );
+                }
+            }
         }
     }
 

@@ -9,11 +9,17 @@ use std::sync::Arc;
 
 use gpu_sim::{DeviceSpec, KernelRun};
 use graph_sparse::{Csr, DenseMatrix};
-use hc_core::fusion::{fused_agg_update, gemm_run, unfused_agg_update, AggUpdateResult};
+use hc_core::fusion::{fused_agg_update_run, gemm_run, unfused_agg_update_run, AggUpdateResult};
 use hc_core::{HcError, HcSpmm, KernelFamily, Plan, PlanSpec, SpmmKernel};
 
 /// An Aggregation backend: computes `Z = Ā·G` and, optionally fused, the
 /// following Update `Z·W`.
+///
+/// The two `_run` methods are the timing-side entry points, mirroring
+/// [`SpmmKernel::spmm_run`]: they bill exactly the launches of their
+/// computing counterparts but skip products nobody reads — the backward
+/// pass's dX-side products, which the paper's frameworks launch and the
+/// host never needs.
 pub trait Aggregator {
     /// Framework name as printed in Figs. 11–13.
     fn name(&self) -> &'static str;
@@ -21,8 +27,33 @@ pub trait Aggregator {
     /// Aggregation alone.
     fn aggregate(&self, a: &Csr, g: &DenseMatrix, dev: &DeviceSpec) -> (DenseMatrix, KernelRun);
 
-    /// Aggregation followed by Update. The default is the unfused two-launch
-    /// pipeline every framework other than HC-SpMM uses.
+    /// Timing-only [`aggregate`](Aggregator::aggregate) of a `dim`-wide
+    /// operand: the same run record, with nothing computed. Must equal
+    /// `self.aggregate(a, g, dev).1` for any `g` with `dim` columns.
+    fn aggregate_run(&self, a: &Csr, dim: usize, dev: &DeviceSpec) -> KernelRun;
+
+    /// Aggregation followed by an Update of width `update_cols`, with only
+    /// the aggregation computed: the run is
+    /// [`agg_update`](Aggregator::agg_update)'s for any `g.cols ×
+    /// update_cols` weight, and the matrix is its `aggregated`. The default
+    /// is the unfused two-launch pipeline every framework other than
+    /// HC-SpMM uses.
+    fn agg_update_run(
+        &self,
+        a: &Csr,
+        g: &DenseMatrix,
+        update_cols: usize,
+        dev: &DeviceSpec,
+    ) -> (DenseMatrix, KernelRun) {
+        let (z, run) = self.aggregate(a, g, dev);
+        let gemm = gemm_run(a.nrows, update_cols, g.cols, dev);
+        (z, run.then(&gemm))
+    }
+
+    /// Aggregation followed by Update: [`agg_update_run`] with the Update
+    /// product `(Ā·G)·W` computed on the host.
+    ///
+    /// [`agg_update_run`]: Aggregator::agg_update_run
     fn agg_update(
         &self,
         a: &Csr,
@@ -30,12 +61,11 @@ pub trait Aggregator {
         w: &DenseMatrix,
         dev: &DeviceSpec,
     ) -> AggUpdateResult {
-        let (z, run) = self.aggregate(a, g, dev);
-        let gemm = gemm_run(a.nrows, w.cols, w.rows, dev);
+        let (aggregated, run) = self.agg_update_run(a, g, w.cols, dev);
         AggUpdateResult {
-            out: z.matmul(w),
-            aggregated: z,
-            run: run.then(&gemm),
+            out: aggregated.matmul(w),
+            aggregated,
+            run,
         }
     }
 }
@@ -112,17 +142,22 @@ impl Aggregator for HcAggregator {
         (r.z, r.run)
     }
 
-    fn agg_update(
+    fn aggregate_run(&self, _a: &Csr, dim: usize, dev: &DeviceSpec) -> KernelRun {
+        self.plan.hc.spmm_preprocessed_run(&self.plan.pre, dim, dev)
+    }
+
+    fn agg_update_run(
         &self,
         a: &Csr,
         g: &DenseMatrix,
-        w: &DenseMatrix,
+        update_cols: usize,
         dev: &DeviceSpec,
-    ) -> AggUpdateResult {
+    ) -> (DenseMatrix, KernelRun) {
+        let (hc, pre) = (&self.plan.hc, &self.plan.pre);
         if self.fuse {
-            fused_agg_update(&self.plan.hc, &self.plan.pre, a, g, w, dev)
+            fused_agg_update_run(hc, pre, a, g, update_cols, dev)
         } else {
-            unfused_agg_update(&self.plan.hc, &self.plan.pre, a, g, w, dev)
+            unfused_agg_update_run(hc, pre, a, g, update_cols, dev)
         }
     }
 }
@@ -149,6 +184,10 @@ impl<K: SpmmKernel> Aggregator for KernelAggregator<K> {
     fn aggregate(&self, a: &Csr, g: &DenseMatrix, dev: &DeviceSpec) -> (DenseMatrix, KernelRun) {
         let r = self.kernel.spmm(a, g, dev);
         (r.z, r.run)
+    }
+
+    fn aggregate_run(&self, a: &Csr, dim: usize, dev: &DeviceSpec) -> KernelRun {
+        self.kernel.spmm_run(a, dim, dev)
     }
 }
 
@@ -241,6 +280,56 @@ mod tests {
         let ru = unfused.agg_update(&a, &g, &w, &dev);
         assert_eq!(rf.out, ru.out);
         assert!(rf.run.time_ms < ru.run.time_ms);
+    }
+
+    /// Bit equality of two run records: both clocks and every counter.
+    fn assert_same_run(got: &KernelRun, want: &KernelRun, what: &str) {
+        assert_eq!(
+            got.time_ms.to_bits(),
+            want.time_ms.to_bits(),
+            "{what}: time_ms"
+        );
+        assert_eq!(
+            got.makespan_cycles.to_bits(),
+            want.makespan_cycles.to_bits(),
+            "{what}: makespan_cycles"
+        );
+        assert_eq!(got.profile, want.profile, "{what}: profile");
+    }
+
+    fn bits(m: &DenseMatrix) -> Vec<u32> {
+        m.data.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn run_entry_points_bill_exactly_what_the_computing_ones_do() {
+        let dev = DeviceSpec::rtx3090();
+        // 603 rows and widths off every tile and block size.
+        let a = gen::community(603, 4_000, 9, 0.9, 21).gcn_normalize();
+        let g = DenseMatrix::random_features(a.nrows, 19, 6);
+        let aggs: Vec<Box<dyn Aggregator>> = vec![
+            Box::new(HcAggregator::new(&a, &dev)),
+            Box::new(HcAggregator::new_unfused(&a, &dev)),
+            Box::new(KernelAggregator::new(baselines::GeSpmm)),
+            Box::new(KernelAggregator::new(baselines::TcGnnSpmm::default())),
+            Box::new(KernelAggregator::new(baselines::CusparseSpmm)),
+        ];
+        for agg in &aggs {
+            // An Update narrower and one wider than G, as in the forward
+            // pass and in the backward's dX-side products.
+            for update_cols in [7, 37] {
+                let what = format!("{} at width {update_cols}", agg.name());
+                let w = DenseMatrix::random_features(g.cols, update_cols, 8);
+                let full = agg.agg_update(&a, &g, &w, &dev);
+                let (aggregated, run) = agg.agg_update_run(&a, &g, update_cols, &dev);
+                assert_eq!(bits(&aggregated), bits(&full.aggregated), "{what}");
+                assert_same_run(&run, &full.run, &what);
+            }
+            let (z, run) = agg.aggregate(&a, &g, &dev);
+            assert_same_run(&agg.aggregate_run(&a, g.cols, &dev), &run, agg.name());
+            let (aggregated, _) = agg.agg_update_run(&a, &g, 7, &dev);
+            assert_eq!(bits(&aggregated), bits(&z), "{}", agg.name());
+        }
     }
 
     #[test]

@@ -99,21 +99,20 @@ impl DeepGcn {
                 run = run.then(&r);
                 grad = g;
             }
-            // Fusable pair: dHW-side product (Ā·grad)·Wᵀ.
-            let wt = self.weights[i].transposed();
-            let f = agg.agg_update(a, &grad, &wt, dev);
-            run = run.then(&f.run);
-            // dW_i = (H_i)ᵀ·(Ā·grad) — H_i is the layer's input.
-            let r = gemm_run(
-                self.weights[i].rows,
-                self.weights[i].cols,
-                cache.h[i].rows,
-                dev,
-            );
+            // Fusable pair: the input-side product (Ā·grad)·Wᵀ, billed at
+            // every layer. Only a lower layer reads it; at the first layer
+            // it is dX of the input features, so there only the aggregation
+            // Ā·grad, which feeds dW_0, is computed.
+            let w = &self.weights[i];
+            let (agrad, r) = agg.agg_update_run(a, &grad, w.rows, dev);
             run = run.then(&r);
-            let dw = cache.h[i].t_matmul(&f.aggregated);
-            grads.push(dw);
-            grad = f.out;
+            // dW_i = (H_i)ᵀ·(Ā·grad) — H_i is the layer's input.
+            let r = gemm_run(w.rows, w.cols, cache.h[i].rows, dev);
+            run = run.then(&r);
+            grads.push(cache.h[i].t_matmul(&agrad));
+            if i > 0 {
+                grad = agrad.matmul(&w.transposed());
+            }
         }
         grads.reverse();
         for (i, dw) in grads.iter().enumerate() {

@@ -80,7 +80,8 @@ impl Gcn {
     /// Backward pass from `dlogits`; applies SGD with learning rate `lr` and
     /// returns the simulated run. Gradient flow per layer: Aggregation
     /// (`Ā·dH`, symmetric Ā) then the two Update gemms — the first of which
-    /// (`(Ā·dH)·Wᵀ`) is fused with the aggregation by HC-SpMM.
+    /// (`(Ā·dH)·Wᵀ`) is fused with the aggregation by HC-SpMM. At layer 1
+    /// that product is dX, which nothing reads: it is billed, not computed.
     #[allow(clippy::too_many_arguments)] // mirrors the training pipeline's data flow
     pub fn backward(
         &mut self,
@@ -106,15 +107,16 @@ impl Gcn {
         // ---- Layer 1 ----
         let (dz1, r) = ops::relu_backward(&dh1, &cache.h1, dev);
         run = run.then(&r);
-        // Fusable pair: dX-side product (Ā·dZ1)·W1ᵀ (dX itself is unused for
-        // input features, but frameworks compute it for generality).
-        let w1t = self.w1.transposed();
-        let f1 = agg.agg_update(a, &dz1, &w1t, dev);
-        run = run.then(&f1.run);
+        // Fusable pair: the dX-side product (Ā·dZ1)·W1ᵀ. The frameworks the
+        // paper models launch it, so it is billed at its `in_dim` width;
+        // nothing reads dX of the input features, so only the aggregation
+        // Ā·dZ1, which feeds dW1, is computed.
+        let (adz1, r) = agg.agg_update_run(a, &dz1, self.w1.rows, dev);
+        run = run.then(&r);
         // dW1 = Xᵀ·(Ā·dZ1).
         let r = gemm_run(self.w1.rows, self.w1.cols, x.rows, dev);
         run = run.then(&r);
-        let dw1 = x.t_matmul(&f1.aggregated);
+        let dw1 = x.t_matmul(&adz1);
 
         // ---- SGD ----
         let r = ops::sgd_step(&mut self.w2, &dw2, lr, dev);

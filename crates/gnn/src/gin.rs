@@ -120,11 +120,12 @@ impl Gin {
         let r = gemm_run(self.w1.rows, self.w1.cols, cache.sx.rows, dev);
         run = run.then(&r);
         let dw1 = cache.sx.t_matmul(&dz1);
-        // dX path (computed for generality): S·(dZ1·W1ᵀ).
+        // dX path S·(dZ1·W1ᵀ): the frameworks the paper models launch its
+        // gemm and its `in_dim`-wide aggregation, so both are billed; nothing
+        // reads dX of the input features, so neither is computed.
         let r = gemm_run(dz1.rows, self.w1.rows, self.w1.cols, dev);
         run = run.then(&r);
-        let dsx = dz1.matmul(&self.w1.transposed());
-        let (_dx, r) = agg.aggregate(s, &dsx, dev);
+        let r = agg.aggregate_run(s, self.w1.rows, dev);
         run = run.then(&r);
 
         let r = ops::sgd_step(&mut self.w2, &dw2, lr, dev);

@@ -8,7 +8,9 @@
 //!
 //! The numerics are real: gradients are validated against finite
 //! differences, and training actually reduces the loss. Only the clock is
-//! simulated.
+//! simulated. The one exception is a product nobody reads — the gradient
+//! with respect to the input features — which is billed on the simulated
+//! clock, as the modeled frameworks launch it, but not computed.
 
 #![warn(missing_docs)]
 

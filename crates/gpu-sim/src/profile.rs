@@ -11,7 +11,7 @@ use crate::cost::BlockCost;
 use crate::device::DeviceSpec;
 
 /// Aggregated counters of one simulated kernel (or kernel sequence).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct KernelProfile {
     /// Warp-wide FP32 FMA issues on CUDA cores.
     pub cuda_fma_issues: u64,

@@ -2,15 +2,17 @@
 //!
 //! CUDA-path kernels are bit-exact against the reference multiply; Tensor
 //! paths match within TF32 tolerance; the half-precision baselines are
-//! bit-exact against a scalar FP16 loop. Property-based over random graphs.
+//! bit-exact against a scalar FP16 loop. Every kernel's timing-only
+//! `spmm_run` bills exactly the run of its `spmm`. Property-based over
+//! random graphs.
 
 use baselines::{
     cpu_spmm, CusparseSpmm, DtcSpmm, GeSpmm, SputnikHalfSpmm, SputnikSpmm, TcGnnSpmm, TileCsrSpmm,
 };
 use gpu_sim::precision::{f16_to_f32, f32_to_f16};
-use gpu_sim::{DeviceSpec, Precision};
+use gpu_sim::{DeviceSpec, KernelRun, Precision};
 use graph_sparse::{gen, Coo, Csr, DenseMatrix};
-use hc_core::{CudaSpmm, HcSpmm, SpmmKernel, TensorSpmm};
+use hc_core::{CudaSpmm, HcSpmm, SpmmKernel, StraightforwardHybrid, TensorSpmm};
 use proptest::prelude::*;
 
 fn exact_kernels() -> Vec<Box<dyn SpmmKernel>> {
@@ -30,7 +32,17 @@ fn quantized_kernels() -> Vec<Box<dyn SpmmKernel>> {
         Box::new(TcGnnSpmm::default()),
         Box::new(DtcSpmm::default()),
         Box::new(HcSpmm::default()),
+        Box::new(StraightforwardHybrid::default()),
     ]
+}
+
+/// Both clocks (as bits) and every counter of a run record.
+fn run_bits(r: &KernelRun) -> (u64, u64, gpu_sim::KernelProfile) {
+    (
+        r.time_ms.to_bits(),
+        r.makespan_cycles.to_bits(),
+        r.profile.clone(),
+    )
 }
 
 /// Random sparse matrix strategy: shape plus entry list.
@@ -53,6 +65,7 @@ proptest! {
             let r = k.spmm(&a, &x, &dev);
             prop_assert_eq!(&r.z, &want, "{} diverged", k.name());
             prop_assert!(r.run.time_ms >= 0.0);
+            prop_assert_eq!(run_bits(&k.spmm_run(&a, dim, &dev)), run_bits(&r.run), "{} spmm_run", k.name());
         }
         prop_assert_eq!(&cpu_spmm(&a, &x).z, &want);
     }
@@ -69,6 +82,7 @@ proptest! {
             let r = k.spmm(&a, &x, &dev);
             let err = want.max_abs_diff(&r.z);
             prop_assert!(err <= tol, "{}: err {} > tol {}", k.name(), err, tol);
+            prop_assert_eq!(run_bits(&k.spmm_run(&a, dim, &dev)), run_bits(&r.run), "{} spmm_run", k.name());
         }
     }
 
@@ -92,7 +106,9 @@ proptest! {
         let dev = DeviceSpec::rtx3090();
         let half: [&dyn SpmmKernel; 2] = [&SputnikHalfSpmm, &TileCsrSpmm];
         for k in half {
-            prop_assert_eq!(bits(&k.spmm(&a, &x, &dev).z), bits(&want), "{} diverged", k.name());
+            let r = k.spmm(&a, &x, &dev);
+            prop_assert_eq!(bits(&r.z), bits(&want), "{} diverged", k.name());
+            prop_assert_eq!(run_bits(&k.spmm_run(&a, dim, &dev)), run_bits(&r.run), "{} spmm_run", k.name());
         }
     }
 
