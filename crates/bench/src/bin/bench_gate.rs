@@ -19,48 +19,6 @@
 //! `perf-override` label to a PR skips this gate for intentional
 //! slowdowns (see the workflow).
 //!
-//! `--min-plan-cache-hit-rate R` additionally requires the *current*
-//! report to carry plan-cache counters with a hit rate of at least `R`
-//! and an amortized per-request cost strictly below the cold cost. These
-//! are simulated-time functional assertions, not noisy host timings, so
-//! they are exact and have no override.
-//!
-//! `--max-degraded-rate R` requires the current report's `fault_recovery`
-//! block to show a degraded-request rate of at most `R` and zero failed
-//! requests: the resilience layer must recover every request the chaos
-//! schedule hits. Like the cache assertions, these counters are
-//! deterministic and have no override.
-//!
-//! `--max-p99-ms MS` requires the current report's `serving_load` block
-//! to show a 99th-percentile *simulated* serving latency of at most `MS`
-//! ms, and an amortized cohorted cost strictly below the uncohorted
-//! control cost. `--min-cohort-rate R` requires the same block to show a
-//! cohort rate (admitted requests executed in a cohort of ≥ 2) of at
-//! least `R`. Simulated time is deterministic, so both are exact and
-//! have no override.
-//!
-//! `--max-patch-cost-ratio R` requires the current report's
-//! `dynamic_graphs` block to show, at every churn sweep size, an
-//! incremental re-plan (patch) cost of at most `R` times the
-//! from-scratch preprocessing cost — and the ratio must shrink
-//! monotonically with graph size (`sublinear`): a one-edge delta dirties
-//! a bounded window set, so its relative cost must fall as the window
-//! count grows. Simulated-time, deterministic, no override.
-//!
-//! `--max-recovery-ratio R` requires the current report's `recovery`
-//! block to show a warm-recovery cost of at most `R` times the
-//! cold-prefix-replay cost, a recovered report bit-identical to the
-//! uncrashed control (`equivalent`), and zero double-applied deltas.
-//! Simulated-time, deterministic, no override.
-//!
-//! `--max-plan-bytes-ratio R` requires the current report's
-//! `tile_compress` block to show a compressed-plan footprint of at most
-//! `R` times the dense-metadata footprint. `--max-prepare-cost-ratio R`
-//! requires the same block to show a compressed-write-back preprocessing
-//! cost of at most `R` times the pre-compression kernel's, and a
-//! pipelined tensor-cycle total strictly below the synchronous one.
-//! Exact bytes and simulated cycles, deterministic, no override.
-//!
 //! `--min-kernel-speedup-floor F` fails when any kernel family in the
 //! current report times slower multithreaded than serial (`speedup < F`)
 //! without its `serial_fallback` flag set — i.e. the pool actually fanned
@@ -80,11 +38,7 @@ use bench::metrics::{gate, BenchReport};
 fn usage() -> ! {
     eprintln!(
         "usage: bench_gate --baseline <path> --current <path> \
-         [--threshold 0.25] [--min-ms 10] [--min-plan-cache-hit-rate R] \
-         [--max-degraded-rate R] [--max-p99-ms MS] [--min-cohort-rate R] \
-         [--max-patch-cost-ratio R] [--max-recovery-ratio R] \
-         [--max-plan-bytes-ratio R] [--max-prepare-cost-ratio R] \
-         [--min-kernel-speedup-floor F]"
+         [--threshold 0.25] [--min-ms 10] [--min-kernel-speedup-floor F]"
     );
     std::process::exit(2);
 }
@@ -122,14 +76,6 @@ fn main() {
     let mut current = None;
     let mut threshold = 0.25f64;
     let mut min_ms = 10.0f64;
-    let mut min_hit_rate: Option<f64> = None;
-    let mut max_degraded_rate: Option<f64> = None;
-    let mut max_p99_ms: Option<f64> = None;
-    let mut min_cohort_rate: Option<f64> = None;
-    let mut max_patch_ratio: Option<f64> = None;
-    let mut max_recovery_ratio: Option<f64> = None;
-    let mut max_plan_bytes_ratio: Option<f64> = None;
-    let mut max_prepare_cost_ratio: Option<f64> = None;
     let mut speedup_floor: Option<f64> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -139,28 +85,6 @@ fn main() {
             "--current" => current = Some(value()),
             "--threshold" => threshold = value().parse().unwrap_or_else(|_| usage()),
             "--min-ms" => min_ms = value().parse().unwrap_or_else(|_| usage()),
-            "--min-plan-cache-hit-rate" => {
-                min_hit_rate = Some(value().parse().unwrap_or_else(|_| usage()))
-            }
-            "--max-degraded-rate" => {
-                max_degraded_rate = Some(value().parse().unwrap_or_else(|_| usage()))
-            }
-            "--max-p99-ms" => max_p99_ms = Some(value().parse().unwrap_or_else(|_| usage())),
-            "--min-cohort-rate" => {
-                min_cohort_rate = Some(value().parse().unwrap_or_else(|_| usage()))
-            }
-            "--max-patch-cost-ratio" => {
-                max_patch_ratio = Some(value().parse().unwrap_or_else(|_| usage()))
-            }
-            "--max-recovery-ratio" => {
-                max_recovery_ratio = Some(value().parse().unwrap_or_else(|_| usage()))
-            }
-            "--max-plan-bytes-ratio" => {
-                max_plan_bytes_ratio = Some(value().parse().unwrap_or_else(|_| usage()))
-            }
-            "--max-prepare-cost-ratio" => {
-                max_prepare_cost_ratio = Some(value().parse().unwrap_or_else(|_| usage()))
-            }
             "--min-kernel-speedup-floor" => {
                 speedup_floor = Some(value().parse().unwrap_or_else(|_| usage()))
             }
@@ -179,289 +103,6 @@ fn main() {
              timings are not comparable across scales",
             base.scale, cur.scale
         );
-    }
-
-    if let Some(min_rate) = min_hit_rate {
-        let Some(pc) = &cur.plan_cache else {
-            eprintln!(
-                "FAIL: --min-plan-cache-hit-rate given but the current report \
-                 has no \"plan_cache\" block (did ext_plan_cache_amortization run?)"
-            );
-            std::process::exit(1);
-        };
-        println!(
-            "plan cache: {} requests, hit rate {:.1}% (min {:.1}%), \
-             amortized {:.4} vs cold {:.4} ms/request",
-            pc.requests,
-            pc.hit_rate * 100.0,
-            min_rate * 100.0,
-            pc.amortized_ms,
-            pc.cold_ms
-        );
-        if pc.hit_rate < min_rate {
-            eprintln!(
-                "FAIL: plan-cache hit rate {:.4} below required {min_rate}",
-                pc.hit_rate
-            );
-            std::process::exit(1);
-        }
-        if pc.amortized_ms >= pc.cold_ms {
-            eprintln!(
-                "FAIL: amortized per-request cost {:.4} ms is not below the \
-                 cold cost {:.4} ms — the cache is not paying for itself",
-                pc.amortized_ms, pc.cold_ms
-            );
-            std::process::exit(1);
-        }
-    }
-
-    if let Some(max_rate) = max_degraded_rate {
-        let Some(fr) = &cur.fault_recovery else {
-            eprintln!(
-                "FAIL: --max-degraded-rate given but the current report has \
-                 no \"fault_recovery\" block (did ext_fault_recovery run?)"
-            );
-            std::process::exit(1);
-        };
-        println!(
-            "fault recovery: {} requests under faults, {} ok / {} degraded / {} failed \
-             (rate {:.1}%, max {:.1}%), {} retries, {} fallbacks, {} quarantined, \
-             {:.4} ms wasted (sim)",
-            fr.requests,
-            fr.ok,
-            fr.degraded,
-            fr.failed,
-            fr.degraded_rate * 100.0,
-            max_rate * 100.0,
-            fr.retries,
-            fr.fallbacks,
-            fr.quarantined,
-            fr.wasted_sim_ms
-        );
-        if fr.failed > 0 {
-            eprintln!(
-                "FAIL: {} request(s) failed under the chaos schedule — the \
-                 fallback chain must serve every request",
-                fr.failed
-            );
-            std::process::exit(1);
-        }
-        if fr.degraded_rate > max_rate {
-            eprintln!(
-                "FAIL: degraded-request rate {:.4} above allowed {max_rate}",
-                fr.degraded_rate
-            );
-            std::process::exit(1);
-        }
-    }
-
-    if max_p99_ms.is_some() || min_cohort_rate.is_some() {
-        let Some(sl) = &cur.serving_load else {
-            eprintln!(
-                "FAIL: --max-p99-ms/--min-cohort-rate given but the current \
-                 report has no \"serving_load\" block (did ext_serving_load run?)"
-            );
-            std::process::exit(1);
-        };
-        println!(
-            "serving load: {} submitted / {} admitted ({} queue-shed, {} quota-shed), \
-             {} cohorts at rate {:.3}, p50 {:.4} / p99 {:.4} ms (sim), \
-             amortized {:.4} vs uncohorted {:.4} ms/request",
-            sl.submitted,
-            sl.admitted,
-            sl.rejected_queue,
-            sl.rejected_quota,
-            sl.cohorts,
-            sl.cohort_rate,
-            sl.p50_sim_ms,
-            sl.p99_sim_ms,
-            sl.amortized_sim_ms,
-            sl.uncohorted_sim_ms
-        );
-        if let Some(max_p99) = max_p99_ms {
-            if sl.p99_sim_ms > max_p99 {
-                eprintln!(
-                    "FAIL: serving p99 {:.4} ms (sim) above allowed {max_p99} ms",
-                    sl.p99_sim_ms
-                );
-                std::process::exit(1);
-            }
-            if sl.amortized_sim_ms >= sl.uncohorted_sim_ms {
-                eprintln!(
-                    "FAIL: amortized cohorted cost {:.4} ms is not below the \
-                     uncohorted control {:.4} ms — cohorting is not paying for itself",
-                    sl.amortized_sim_ms, sl.uncohorted_sim_ms
-                );
-                std::process::exit(1);
-            }
-        }
-        if let Some(min_rate) = min_cohort_rate {
-            if sl.cohort_rate < min_rate {
-                eprintln!(
-                    "FAIL: cohort rate {:.4} below required {min_rate}",
-                    sl.cohort_rate
-                );
-                std::process::exit(1);
-            }
-        }
-    }
-
-    if let Some(max_ratio) = max_patch_ratio {
-        let Some(dg) = &cur.dynamic_graphs else {
-            eprintln!(
-                "FAIL: --max-patch-cost-ratio given but the current report \
-                 has no \"dynamic_graphs\" block (did ext_churn run?)"
-            );
-            std::process::exit(1);
-        };
-        println!(
-            "dynamic graphs: {} mutations, {} patched plans, {} swaps, \
-             {} stale-served, max patch/full ratio {:.4} (max {:.4}), \
-             sublinear {}, amortized churn {:.4} vs steady {:.4} ms/request",
-            dg.mutations,
-            dg.patched_plans,
-            dg.swaps,
-            dg.stale_served,
-            dg.max_patch_ratio,
-            max_ratio,
-            dg.sublinear,
-            dg.amortized_churn_sim_ms,
-            dg.amortized_steady_sim_ms
-        );
-        for p in &dg.scale_points {
-            println!(
-                "  churn sweep: {:>6} rows / {:>7} nnz / {:>4} windows: \
-                 full {:.4} ms, patch {:.4} ms (ratio {:.4})",
-                p.nrows, p.nnz, p.windows, p.full_prepare_sim_ms, p.patch_sim_ms, p.patch_ratio
-            );
-        }
-        if dg.max_patch_ratio > max_ratio {
-            eprintln!(
-                "FAIL: incremental re-plan cost ratio {:.4} above allowed \
-                 {max_ratio} — patching is not meaningfully cheaper than \
-                 preprocessing from scratch",
-                dg.max_patch_ratio
-            );
-            std::process::exit(1);
-        }
-        if !dg.sublinear {
-            eprintln!(
-                "FAIL: patch/full cost ratio did not shrink with graph size — \
-                 the dirty-window re-plan is scaling with the whole graph"
-            );
-            std::process::exit(1);
-        }
-    }
-
-    if let Some(max_ratio) = max_recovery_ratio {
-        let Some(rc) = &cur.recovery else {
-            eprintln!(
-                "FAIL: --max-recovery-ratio given but the current report \
-                 has no \"recovery\" block (did ext_recovery run?)"
-            );
-            std::process::exit(1);
-        };
-        println!(
-            "recovery: crashed at point {} of {}, resumed at epoch {}/{}; \
-             {} plans restored ({} prepares + {} patch replays), {} deltas \
-             replayed ({} duplicates skipped), warm {:.4} vs cold {:.4} ms \
-             (sim) — ratio {:.4} (max {:.4}), equivalent {}",
-            rc.crash_points.saturating_sub(1),
-            rc.crash_points,
-            rc.resume_epoch,
-            rc.total_epochs,
-            rc.restored_plans,
-            rc.full_prepares,
-            rc.patch_replays,
-            rc.replayed_deltas,
-            rc.skipped_duplicates,
-            rc.warm_recovery_sim_ms,
-            rc.cold_replay_sim_ms,
-            rc.recovery_ratio,
-            max_ratio,
-            rc.equivalent
-        );
-        if !rc.equivalent {
-            eprintln!(
-                "FAIL: the recovered report was not bit-identical to the \
-                 uncrashed control — restart equivalence is broken"
-            );
-            std::process::exit(1);
-        }
-        if rc.double_applied > 0 {
-            eprintln!(
-                "FAIL: {} delta(s) were double-applied during WAL replay — \
-                 recovery is not idempotent",
-                rc.double_applied
-            );
-            std::process::exit(1);
-        }
-        if rc.recovery_ratio > max_ratio {
-            eprintln!(
-                "FAIL: warm recovery cost ratio {:.4} above allowed \
-                 {max_ratio} — recovery is not meaningfully cheaper than \
-                 replaying the prefix cold",
-                rc.recovery_ratio
-            );
-            std::process::exit(1);
-        }
-    }
-
-    if max_plan_bytes_ratio.is_some() || max_prepare_cost_ratio.is_some() {
-        let Some(tc) = &cur.tile_compress else {
-            eprintln!(
-                "FAIL: --max-plan-bytes-ratio/--max-prepare-cost-ratio given \
-                 but the current report has no \"tile_compress\" block (did \
-                 ext_tile_compress run?)"
-            );
-            std::process::exit(1);
-        };
-        println!(
-            "tile compress: {} windows, metadata {} B vs {} B dense \
-             (ratio {:.4}), plan {} B vs {} B (ratio {:.4}), preprocessing \
-             {:.4} vs {:.4} ms (ratio {:.4}), tensor cycles ratio {:.4}",
-            tc.windows,
-            tc.meta_bytes_compressed,
-            tc.meta_bytes_uncompressed,
-            tc.bytes_ratio,
-            tc.plan_bytes_compressed,
-            tc.plan_bytes_uncompressed,
-            tc.plan_bytes_ratio,
-            tc.prepare_sim_ms_compressed,
-            tc.prepare_sim_ms_uncompressed,
-            tc.prepare_cost_ratio,
-            tc.tensor_cycle_ratio
-        );
-        if let Some(max_ratio) = max_plan_bytes_ratio {
-            if tc.plan_bytes_ratio > max_ratio {
-                eprintln!(
-                    "FAIL: compressed-plan footprint ratio {:.4} above allowed \
-                     {max_ratio} — the tile metadata is not earning its keep",
-                    tc.plan_bytes_ratio
-                );
-                std::process::exit(1);
-            }
-        }
-        if let Some(max_ratio) = max_prepare_cost_ratio {
-            if tc.prepare_cost_ratio > max_ratio {
-                eprintln!(
-                    "FAIL: compressed preprocessing cost ratio {:.4} above \
-                     allowed {max_ratio} — emitting the compact form costs \
-                     more than the dense write-back it replaces",
-                    tc.prepare_cost_ratio
-                );
-                std::process::exit(1);
-            }
-            if tc.tensor_cycles_pipelined >= tc.tensor_cycles_unpipelined {
-                eprintln!(
-                    "FAIL: pipelined tensor schedule ({:.0} cycles) is not \
-                     below the synchronous one ({:.0}) — double buffering \
-                     stopped paying for itself",
-                    tc.tensor_cycles_pipelined, tc.tensor_cycles_unpipelined
-                );
-                std::process::exit(1);
-            }
-        }
     }
 
     if let Some(floor) = speedup_floor {

@@ -1,4 +1,5 @@
-//! Extension: hot-path workspace reuse — warm vs cold serving cost.
+//! Extension: hot-path workspace reuse — the warm plan's cost-cache and
+//! scratch counters, with its outputs checked bit-exact against cold plans.
 fn main() {
     let mut c = bench::harness::DatasetCache::new();
     let (text, _) =

@@ -1,7 +1,7 @@
 //! Tables III–V: ablations of the §IV-D kernel optimizations.
 
 use gpu_sim::DeviceSpec;
-use graph_sparse::{DatasetId, DenseMatrix};
+use graph_sparse::DatasetId;
 use hc_core::{CudaSpmm, SpmmKernel, TensorSpmm};
 
 use crate::harness::{f3, DatasetCache, Table};
@@ -15,15 +15,14 @@ pub fn table03(cache: &mut DatasetCache, dev: &DeviceSpec) -> String {
         let ds = cache.get(id);
         let dim = ds.spec.dim;
         assert_ne!(dim % 32, 0, "table III needs unaligned dims");
-        let x = DenseMatrix::random_features(ds.adj.nrows, dim, id as u64);
         let a = ds.adj.clone();
         let opt = CudaSpmm::optimized();
         let plain = CudaSpmm {
             generalized: false,
             ..CudaSpmm::default()
         };
-        let to = opt.spmm(&a, &x, dev).run.time_ms;
-        let tp = plain.spmm(&a, &x, dev).run.time_ms;
+        let to = opt.spmm_run(&a, dim, dev).time_ms;
+        let tp = plain.spmm_run(&a, dim, dev).time_ms;
         t.row(vec![
             id.code().into(),
             format!("{}ms", f3(to)),
@@ -38,16 +37,14 @@ pub fn table03(cache: &mut DatasetCache, dev: &DeviceSpec) -> String {
 pub fn table04(cache: &mut DatasetCache, dev: &DeviceSpec) -> String {
     let mut t = Table::new(&["Dataset", "Shared memory", "No optimization", "Speedup"]);
     for id in DatasetId::ABLATION_SET {
-        let ds = cache.get(id);
-        let x = DenseMatrix::random_features(ds.adj.nrows, 32, id as u64);
-        let a = ds.adj.clone();
+        let a = cache.get(id).adj.clone();
         let with = CudaSpmm::optimized();
         let without = CudaSpmm {
             shared_mem_edges: false,
             ..CudaSpmm::default()
         };
-        let tw = with.spmm(&a, &x, dev).run.time_ms;
-        let to = without.spmm(&a, &x, dev).run.time_ms;
+        let tw = with.spmm_run(&a, 32, dev).time_ms;
+        let to = without.spmm_run(&a, 32, dev).time_ms;
         t.row(vec![
             id.code().into(),
             format!("{}ms", f3(tw)),
@@ -66,11 +63,9 @@ pub fn table04(cache: &mut DatasetCache, dev: &DeviceSpec) -> String {
 pub fn table05(cache: &mut DatasetCache, dev: &DeviceSpec) -> String {
     let mut t = Table::new(&["Dataset", "Opt. data loading", "No optimization", "Speedup"]);
     for id in DatasetId::ABLATION_SET {
-        let ds = cache.get(id);
-        let x = DenseMatrix::random_features(ds.adj.nrows, 32, id as u64);
-        let a = ds.adj.clone();
-        let to = TensorSpmm::optimized().spmm(&a, &x, dev).run.time_ms;
-        let tp = TensorSpmm::unoptimized().spmm(&a, &x, dev).run.time_ms;
+        let a = cache.get(id).adj.clone();
+        let to = TensorSpmm::optimized().spmm_run(&a, 32, dev).time_ms;
+        let tp = TensorSpmm::unoptimized().spmm_run(&a, 32, dev).time_ms;
         t.row(vec![
             id.code().into(),
             format!("{}ms", f3(to)),

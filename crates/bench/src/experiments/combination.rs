@@ -4,7 +4,7 @@
 //! drives the central design choice, so we regenerate the measurement.
 
 use gpu_sim::DeviceSpec;
-use graph_sparse::{DatasetId, DenseMatrix};
+use graph_sparse::DatasetId;
 use hc_core::{HcSpmm, Loa, SpmmKernel, StraightforwardHybrid};
 
 use crate::harness::{f3, DatasetCache, Table};
@@ -28,11 +28,9 @@ pub fn run(cache: &mut DatasetCache, dev: &DeviceSpec) -> String {
         let ds = cache.get(id);
         let dim = ds.spec.dim.min(512);
         let a = Loa::default().optimize(&ds.adj).0;
-        let x = DenseMatrix::random_features(a.nrows, dim, id as u64);
-        let rw = HcSpmm::default().spmm(&a, &x, dev).run.time_ms;
+        let rw = HcSpmm::default().spmm_run(&a, dim, dev).time_ms;
         let pt = StraightforwardHybrid::default()
-            .spmm(&a, &x, dev)
-            .run
+            .spmm_run(&a, dim, dev)
             .time_ms;
         t.row(vec![
             id.code().into(),

@@ -34,11 +34,10 @@ pub fn fig14(cache: &mut DatasetCache, dev: &DeviceSpec) -> String {
         let ds = cache.get(id);
         let dim = ds.spec.dim.min(512);
         let a = ds.adj.clone();
-        let x = DenseMatrix::random_features(a.nrows, dim, id as u64);
         let hc = HcSpmm::default();
-        let before = hc.spmm(&a, &x, dev).run.time_ms;
+        let before = hc.spmm_run(&a, dim, dev).time_ms;
         let (opt, _) = Loa::default().optimize(&a);
-        let after = hc.spmm(&opt, &x, dev).run.time_ms;
+        let after = hc.spmm_run(&opt, dim, dev).time_ms;
         let imp = (before - after) / before * 100.0;
         t.row(vec![
             id.code().into(),
@@ -113,9 +112,9 @@ pub fn fig16(cache: &mut DatasetCache, dev: &DeviceSpec) -> String {
         // Benefit: SpMM-time saving from Fig. 14 applied to the aggregation
         // share of training (reported for context).
         let hc = HcSpmm::default();
-        let before = hc.spmm(&ds.adj, &x, dev).run.time_ms;
+        let before = hc.spmm_run(&ds.adj, dim, dev).time_ms;
         let opt = ds.adj.permute_symmetric(&rep.perm);
-        let after = hc.spmm(&opt, &x, dev).run.time_ms;
+        let after = hc.spmm_run(&opt, dim, dev).time_ms;
         t.row(vec![
             id.code().into(),
             f3(rep.seconds),

@@ -2,7 +2,7 @@
 //! parameters (Appendix E).
 
 use gpu_sim::DeviceSpec;
-use graph_sparse::{DatasetId, DenseMatrix};
+use graph_sparse::DatasetId;
 use hc_core::{HcSpmm, Selector, SpmmKernel};
 
 use crate::harness::{DatasetCache, Table};
@@ -15,8 +15,7 @@ pub fn fig17(cache: &mut DatasetCache, dev: &DeviceSpec) -> String {
         let ds = cache.get(id);
         let dim = ds.spec.dim.min(512);
         let a = ds.adj.clone();
-        let x = DenseMatrix::random_features(a.nrows, dim, id as u64);
-        let base_time = HcSpmm::default().spmm(&a, &x, dev).run.time_ms;
+        let base_time = HcSpmm::default().spmm_run(&a, dim, dev).time_ms;
         let mut t = Table::new(&["param", "-50%", "-25%", "+25%", "+50%"]);
         for (name, pick) in [("w1", 0usize), ("w2", 1), ("b", 2)] {
             let mut row = vec![name.to_string()];
@@ -31,7 +30,7 @@ pub fn fig17(cache: &mut DatasetCache, dev: &DeviceSpec) -> String {
                     selector: s,
                     ..HcSpmm::default()
                 };
-                let tms = hc.spmm(&a, &x, dev).run.time_ms;
+                let tms = hc.spmm_run(&a, dim, dev).time_ms;
                 row.push(format!("{:+.2}%", (tms - base_time) / base_time * 100.0));
             }
             t.row(row);

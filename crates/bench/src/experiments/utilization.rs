@@ -3,7 +3,7 @@
 
 use baselines::{DtcSpmm, GeSpmm, SputnikSpmm, TcGnnSpmm};
 use gpu_sim::DeviceSpec;
-use graph_sparse::{Csr, DatasetId, DenseMatrix};
+use graph_sparse::{Csr, DatasetId};
 use hc_core::{HcSpmm, Loa, SpmmKernel};
 
 use crate::harness::{f3, DatasetCache, Table};
@@ -21,10 +21,9 @@ pub fn table13(cache: &mut DatasetCache, dev: &DeviceSpec) -> String {
     for id in DatasetId::ABLATION_SET {
         let a = loa_layout(cache, id);
         let dim = cache.get(id).spec.dim.min(512);
-        let x = DenseMatrix::random_features(a.nrows, dim, id as u64);
         let util = |k: &dyn SpmmKernel| {
-            let r = k.spmm(&a, &x, dev);
-            f3(r.run.profile.tensor_core_utilization(dev, r.run.time_ms))
+            let run = k.spmm_run(&a, dim, dev);
+            f3(run.profile.tensor_core_utilization(dev, run.time_ms))
         };
         t.row(vec![
             id.code().into(),
@@ -70,12 +69,11 @@ pub fn table15(cache: &mut DatasetCache, dev: &DeviceSpec) -> String {
             let mut row = vec![metric.to_string(), k.name().to_string()];
             for id in DatasetId::ABLATION_SET {
                 let ds = cache.get(id);
-                let x = DenseMatrix::random_features(ds.adj.nrows, ds.spec.dim.min(512), id as u64);
-                let r = k.spmm(&ds.adj, &x, dev);
+                let run = k.spmm_run(&ds.adj, ds.spec.dim.min(512), dev);
                 let v = if metric == "Computing" {
-                    r.run.profile.compute_throughput(dev, r.run.time_ms)
+                    run.profile.compute_throughput(dev, run.time_ms)
                 } else {
-                    r.run.profile.memory_throughput(dev, r.run.time_ms)
+                    run.profile.memory_throughput(dev, run.time_ms)
                 };
                 row.push(f3(v));
             }
