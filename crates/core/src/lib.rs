@@ -53,8 +53,8 @@ pub use preprocess::{
     preprocess_oracle, window_preprocess_cost, window_preprocess_cost_with, Preprocessed,
 };
 pub use resilient::{
-    execute_resilient, fallback_chain, FallbackStep, HcError, OverloadReason, ResiliencePolicy,
-    ResilientRun, Validation,
+    execute_resilient, execute_resilient_keyed, fallback_chain, FallbackStep, HcError,
+    OverloadReason, ResiliencePolicy, ResilientRun, Validation,
 };
 pub use sanitize::{
     conformance_family, sanitize_family, sanitize_graph, FamilyReport, KernelFamily, SampleSpec,

@@ -220,11 +220,24 @@ impl Plan {
         delta: &DeltaCsr,
         dev: &DeviceSpec,
     ) -> Result<Plan, PatchError> {
+        self.patch_keyed(base, StructureFingerprint::of(base), delta, dev)
+    }
+
+    /// [`Plan::patch`] for a caller that already holds `base`'s
+    /// fingerprint: `base_fp` must be `StructureFingerprint::of(base)`,
+    /// and it stands in for that O(nnz) pass in the base check.
+    pub fn patch_keyed(
+        &self,
+        base: &Csr,
+        base_fp: StructureFingerprint,
+        delta: &DeltaCsr,
+        dev: &DeviceSpec,
+    ) -> Result<Plan, PatchError> {
         let t0 = Instant::now();
         if self.loa.is_some() {
             return Err(PatchError::LoaPlan);
         }
-        if StructureFingerprint::of(base) != self.fingerprint {
+        if base_fp != self.fingerprint {
             return Err(PatchError::BaseMismatch);
         }
         let updated = delta.apply(base).map_err(PatchError::Delta)?;
@@ -735,10 +748,15 @@ mod tests {
         let a = gen::erdos_renyi(128, 500, 21);
         let plan = Plan::prepare(&a, PlanSpec::hybrid(), &dev);
         let delta = DeltaCsr::new(128, 128, vec![], vec![]).expect("empty delta");
-        // Wrong base graph.
+        // Wrong base graph, or a caller-held key that is not the plan's.
         let other = gen::erdos_renyi(128, 510, 22);
         assert_eq!(
             plan.patch(&other, &delta, &dev).err(),
+            Some(PatchError::BaseMismatch)
+        );
+        let other_fp = StructureFingerprint::of(&other);
+        assert_eq!(
+            plan.patch_keyed(&a, other_fp, &delta, &dev).err(),
             Some(PatchError::BaseMismatch)
         );
         // Delta that disagrees with the base.

@@ -325,6 +325,22 @@ pub fn execute_resilient(
     dev: &DeviceSpec,
     policy: &ResiliencePolicy,
 ) -> ResilientRun {
+    execute_resilient_keyed(plan, a, StructureFingerprint::of(a), x, dev, policy)
+}
+
+/// [`execute_resilient`] for a caller that already holds `a`'s
+/// fingerprint: `a_fp` must be `StructureFingerprint::of(a)`, and it
+/// stands in for that O(nnz) pass in the plan-match check. A serving
+/// front that screens each shared graph once passes the screened
+/// fingerprint here instead of re-hashing the graph per request.
+pub fn execute_resilient_keyed(
+    plan: &Plan,
+    a: &Csr,
+    a_fp: StructureFingerprint,
+    x: &DenseMatrix,
+    dev: &DeviceSpec,
+    policy: &ResiliencePolicy,
+) -> ResilientRun {
     let mut run = ResilientRun {
         result: Err(HcError::PlanMismatch),
         executed: FallbackStep::Family(plan.spec.family),
@@ -343,7 +359,7 @@ pub fn execute_resilient(
         });
         return run;
     }
-    if StructureFingerprint::of(a) != plan.fingerprint {
+    if a_fp != plan.fingerprint {
         run.result = Err(HcError::PlanMismatch);
         return run;
     }
@@ -606,6 +622,46 @@ mod tests {
         let other = gen::erdos_renyi(256, 1_400, 9);
         let run = execute_resilient(&plan, &other, &x, &dev, &ResiliencePolicy::default());
         assert_eq!(run.result.unwrap_err(), HcError::PlanMismatch);
+    }
+
+    #[test]
+    fn keyed_entry_point_matches_the_hashing_wrapper() {
+        let (dev, a, x, plan) = setup(KernelFamily::Hybrid);
+        let fp = StructureFingerprint::of(&a);
+        // A hot fault stream, so retries, fallbacks and wasted time all
+        // have something to disagree on.
+        for seed in 0..6u64 {
+            let policy = ResiliencePolicy {
+                faults: FaultConfig::uniform(seed, 0.5),
+                ..Default::default()
+            };
+            let hashed = execute_resilient(&plan, &a, &x, &dev, &policy);
+            let keyed = execute_resilient_keyed(&plan, &a, fp, &x, &dev, &policy);
+            assert_eq!(keyed.executed, hashed.executed, "seed {seed}");
+            assert_eq!(keyed.retries, hashed.retries, "seed {seed}");
+            assert_eq!(keyed.faults, hashed.faults, "seed {seed}");
+            assert_eq!(keyed.validation_failures, hashed.validation_failures);
+            assert_eq!(keyed.poisoned, hashed.poisoned, "seed {seed}");
+            assert_eq!(
+                keyed.wasted_sim_ms.to_bits(),
+                hashed.wasted_sim_ms.to_bits()
+            );
+            match (&keyed.result, &hashed.result) {
+                (Ok(k), Ok(h)) => {
+                    assert_eq!(k.z, h.z, "seed {seed}");
+                    assert_eq!(k.run.time_ms.to_bits(), h.run.time_ms.to_bits());
+                }
+                (k, h) => assert_eq!(k.as_ref().err(), h.as_ref().err(), "seed {seed}"),
+            }
+        }
+        // A fingerprint that is not the plan's is a typed mismatch, with
+        // no device work — even when the graph itself would match.
+        let wrong = StructureFingerprint::of(&gen::erdos_renyi(256, 1_400, 9));
+        let policy = ResiliencePolicy::default();
+        let run = execute_resilient_keyed(&plan, &a, wrong, &x, &dev, &policy);
+        assert_eq!(run.result.unwrap_err(), HcError::PlanMismatch);
+        assert_eq!((run.retries, run.wasted_sim_ms), (0, 0.0));
+        assert!(run.faults.is_empty());
     }
 
     #[test]

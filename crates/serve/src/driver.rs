@@ -21,9 +21,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use gpu_sim::DeviceSpec;
-use graph_sparse::{Csr, DenseMatrix};
+use graph_sparse::{Csr, DenseMatrix, StructureFingerprint};
 use hc_core::{
-    execute_resilient, FallbackStep, HcError, KernelFamily, Plan, PlanSpec, ResiliencePolicy,
+    execute_resilient_keyed, FallbackStep, HcError, KernelFamily, Plan, PlanSpec, ResiliencePolicy,
 };
 
 use crate::cache::{CacheStats, PlanCache};
@@ -170,10 +170,16 @@ impl BatchSummary {
 }
 
 /// Screen a request before it can reach plan preparation (which indexes
-/// the graph's arrays and would panic on a malformed one). Shared by the
-/// in-order [`BatchDriver`] and the concurrent front-end.
-pub(crate) fn screen_request(req: &Request) -> Result<(), HcError> {
+/// the graph's arrays and would panic on a malformed one).
+fn screen_request(req: &Request) -> Result<(), HcError> {
     req.graph.validate()?;
+    check_shape(req)
+}
+
+/// The per-request half of the screen: the feature matrix must have one
+/// row per graph column. The concurrent front-end validates each shared
+/// graph once per call and runs this check for every request.
+pub(crate) fn check_shape(req: &Request) -> Result<(), HcError> {
     if req.features.rows != req.graph.ncols {
         return Err(HcError::ShapeMismatch {
             expected_rows: req.graph.ncols,
@@ -198,18 +204,20 @@ pub(crate) struct Executed {
 
 /// The post-lookup half of serving: run one request through an
 /// already-resolved plan under `policy` (whose fault schedule the caller
-/// has re-seeded) and classify the result against `primary`. Pure with
-/// respect to the caller's caches — quarantine is the caller's job, via
-/// [`Executed::poisoned`].
+/// has re-seeded) and classify the result against `primary`. `graph_fp`
+/// is `graph`'s fingerprint, already computed by the caller's screen.
+/// Pure with respect to the caller's caches — quarantine is the caller's
+/// job, via [`Executed::poisoned`].
 pub(crate) fn execute_planned(
     plan: &Plan,
     graph: &Csr,
+    graph_fp: StructureFingerprint,
     features: &DenseMatrix,
     dev: &DeviceSpec,
     policy: &ResiliencePolicy,
     primary: KernelFamily,
 ) -> Executed {
-    let run = execute_resilient(plan, graph, features, dev, policy);
+    let run = execute_resilient_keyed(plan, graph, graph_fp, features, dev, policy);
     let poisoned = run.poisoned;
     let wasted_sim_ms = run.wasted_sim_ms;
     let (outcome, exec_sim_ms) = match run.result {
@@ -292,6 +300,7 @@ impl BatchDriver {
         let ex = execute_planned(
             &plan,
             &req.graph,
+            StructureFingerprint::of(&req.graph),
             &req.features,
             dev,
             &policy,

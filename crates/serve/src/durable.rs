@@ -47,7 +47,7 @@ use hc_core::{Plan, PlanSpec};
 
 use crate::front::{
     assemble_report, EpochEnd, EpochSink, Front, FrontCounters, FrontEvent, FrontReport,
-    FrontResponse, MutationOutcome,
+    FrontResponse, MutationOutcome, Screen,
 };
 use crate::snapshot::Snapshot;
 use crate::wal::{DeltaRecord, EpochMarker, RecoveryError, Wal};
@@ -221,7 +221,7 @@ impl DurableFront {
 
         // Root-materialized graphs: available without applying any
         // delta — the trace's own graphs plus the snapshot's.
-        let mut roots = trace_graphs(events);
+        let mut roots = trace_graphs(events, &mut Screen::default());
         if cfg.snapshot_path.exists() {
             let snap = Snapshot::load(&cfg.snapshot_path)?;
             stats.restored_graphs = snap.graphs.len() as u64;
@@ -306,7 +306,10 @@ impl DurableFront {
         events: &[FrontEvent],
         dev: &DeviceSpec,
     ) -> Result<RunAttempt, RecoveryError> {
-        for (fp, g) in trace_graphs(events) {
+        // One screen for the whole call: collecting the trace's graphs
+        // fills it, and the front reuses it for every request.
+        let mut screen = Screen::default();
+        for (fp, g) in trace_graphs(events, &mut screen) {
             self.graphs.entry(fp).or_insert(g);
         }
         let mut sink = DurableSink {
@@ -323,6 +326,7 @@ impl DurableFront {
             dev,
             self.resume_epoch,
             self.counters_seed,
+            &mut screen,
             &mut sink,
         ) {
             Ok(report) => Ok(RunAttempt {
@@ -413,18 +417,25 @@ pub fn run_to_completion(
     }
 }
 
-/// Every graph the trace itself carries, by fingerprint: serve-request
-/// graphs and mutation bases. These are "root-materialized" — recovery
-/// gets them for free, without applying any delta.
-fn trace_graphs(events: &[FrontEvent]) -> HashMap<StructureFingerprint, Arc<Csr>> {
+/// Every valid graph the trace itself carries, by fingerprint:
+/// serve-request graphs and mutation bases. These are "root-materialized"
+/// — recovery gets them for free, without applying any delta. Each
+/// distinct `Arc` is screened once; a graph that fails validation is
+/// skipped, because the front never serves it, so it is never a
+/// recovery root.
+fn trace_graphs<'t>(
+    events: &'t [FrontEvent],
+    screen: &mut Screen<'t>,
+) -> HashMap<StructureFingerprint, Arc<Csr>> {
     let mut m: HashMap<StructureFingerprint, Arc<Csr>> = HashMap::new();
     for ev in events {
         let g = match ev {
             FrontEvent::Serve(fr) => &fr.request.graph,
             FrontEvent::Mutate(mu) => &mu.base,
         };
-        m.entry(StructureFingerprint::of(g))
-            .or_insert_with(|| Arc::clone(g));
+        if let Ok(fp) = screen.graph(g) {
+            m.entry(fp).or_insert_with(|| Arc::clone(g));
+        }
     }
     m
 }

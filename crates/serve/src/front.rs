@@ -70,17 +70,18 @@
 //! stays acyclic.
 
 use std::collections::HashMap;
+use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::Instant;
 
 use gpu_sim::DeviceSpec;
-use graph_sparse::{Csr, DeltaCsr, DenseMatrix, StructureFingerprint};
+use graph_sparse::{Csr, CsrError, DeltaCsr, DenseMatrix, StructureFingerprint};
 use hc_core::{HcError, OverloadReason, PlanSpec, ResiliencePolicy};
 use hc_parallel::sync::channel::Bounded;
 use hc_parallel::sync::{thread, Mutex};
 
 use crate::cache::CacheStats;
-use crate::driver::{execute_planned, screen_request, Outcome, Request};
+use crate::driver::{check_shape, execute_planned, Outcome, Request};
 use crate::shared::{SharedPlanCache, SwapOutcome};
 
 /// Opaque tenant identifier. Quotas and SLO accounting key on it.
@@ -133,8 +134,11 @@ pub struct MutationOutcome {
     pub trace_index: usize,
     /// Scheduling epoch the mutation fell into.
     pub epoch: usize,
-    /// Fingerprint of the base (pre-mutation) structure.
-    pub old_fp: StructureFingerprint,
+    /// Fingerprint of the base (pre-mutation) structure, or the
+    /// [`HcError::BadInput`] a malformed base failed validation with. A
+    /// malformed base marks nothing stale, patches nothing and logs
+    /// nothing.
+    pub old_fp: Result<StructureFingerprint, HcError>,
     /// Fingerprint of the mutated structure, when the delta applied
     /// cleanly.
     pub new_fp: Option<StructureFingerprint>,
@@ -365,6 +369,37 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
+/// One serving call's structure screen: each distinct graph `Arc` the
+/// call's trace carries is validated, and fingerprinted when valid, at
+/// most once. Every later request, cohort lookup, resilient execute,
+/// stale mark and patch check on that `Arc` reuses the result.
+///
+/// The memo keys on identity (`Arc::as_ptr`), never on structure or
+/// values: two `Arc`s with equal structure but different `vals` are each
+/// validated (validation reads the values). Keying on an address is
+/// sound because the screen borrows every graph it has seen for `'t`,
+/// the lifetime of the call's `events` borrow: while it lives, no
+/// screened `Csr` can be freed (so its address cannot be reused by
+/// another graph) and none can change (an `Arc`'d `Csr` behind a shared
+/// borrow is immutable).
+#[derive(Default)]
+pub(crate) struct Screen<'t> {
+    seen: HashMap<*const Csr, Result<StructureFingerprint, CsrError>>,
+    graphs: PhantomData<&'t Csr>,
+}
+
+impl<'t> Screen<'t> {
+    /// `g`'s fingerprint, or the typed error its validation failed with;
+    /// computed on the first call for this `Arc`, recalled after.
+    pub(crate) fn graph(&mut self, g: &'t Arc<Csr>) -> Result<StructureFingerprint, HcError> {
+        self.seen
+            .entry(Arc::as_ptr(g))
+            .or_insert_with(|| g.validate().map(|()| StructureFingerprint::of(g)))
+            .clone()
+            .map_err(HcError::BadInput)
+    }
+}
+
 /// A resolved cohort queued for execution: one plan, the member
 /// requests in arrival order.
 struct CohortJob<'t> {
@@ -531,7 +566,15 @@ impl Front {
     /// mutation affects every request of its own epoch regardless of
     /// relative position within the epoch.
     pub fn run_events(&self, events: &[FrontEvent], dev: &DeviceSpec) -> FrontReport {
-        match self.run_events_from(events, dev, 0, FrontCounters::default(), &mut NoopSink) {
+        let mut screen = Screen::default();
+        match self.run_events_from(
+            events,
+            dev,
+            0,
+            FrontCounters::default(),
+            &mut screen,
+            &mut NoopSink,
+        ) {
             Ok(report) => report,
             Err(halt) => match halt {},
         }
@@ -548,12 +591,17 @@ impl Front {
     /// cycle. The returned report covers only the epochs this call ran;
     /// the durability layer merges it with what earlier attempts
     /// delivered.
-    pub(crate) fn run_events_from<S: EpochSink>(
+    ///
+    /// `screen` validates and fingerprints each distinct graph `Arc` in
+    /// `events` once; the durability layer passes the screen it already
+    /// filled while collecting the trace's graphs.
+    pub(crate) fn run_events_from<'t, S: EpochSink>(
         &self,
-        events: &[FrontEvent],
+        events: &'t [FrontEvent],
         dev: &DeviceSpec,
         start_epoch: usize,
         counters_seed: FrontCounters,
+        screen: &mut Screen<'t>,
         sink: &mut S,
     ) -> Result<FrontReport, S::Halt> {
         let t0 = Instant::now();
@@ -574,9 +622,14 @@ impl Front {
             // --- Admission: arrival order, pure function of the trace.
             // Mutations are admitted unconditionally (control plane) and
             // immediately flag the superseded plan stale; patching waits
-            // for the epoch barrier.
-            let mut admitted: Vec<(usize, &FrontRequest)> = Vec::new();
-            let mut epoch_mutations: Vec<(usize, &Mutation)> = Vec::new();
+            // for the epoch barrier. A base that fails the screen flags
+            // nothing.
+            let mut admitted: Vec<(usize, &FrontRequest, StructureFingerprint)> = Vec::new();
+            let mut epoch_mutations: Vec<(
+                usize,
+                &Mutation,
+                Result<StructureFingerprint, HcError>,
+            )> = Vec::new();
             let mut per_tenant: HashMap<TenantId, usize> = HashMap::new();
             for (off, ev) in arrivals.iter().enumerate() {
                 let ti = base + off;
@@ -584,8 +637,11 @@ impl Front {
                     FrontEvent::Serve(fr) => fr,
                     FrontEvent::Mutate(m) => {
                         counters.mutations += 1;
-                        self.cache.mark_stale(StructureFingerprint::of(&m.base));
-                        epoch_mutations.push((ti, m));
+                        let base_fp = screen.graph(&m.base);
+                        if let Ok(fp) = base_fp {
+                            self.cache.mark_stale(fp);
+                        }
+                        epoch_mutations.push((ti, m, base_fp));
                         continue;
                     }
                 };
@@ -621,34 +677,38 @@ impl Front {
                 counters.admitted += 1;
                 *per_tenant.entry(fr.tenant).or_insert(0) += 1;
                 // Screen hostile inputs now: they complete immediately,
-                // with no cohort and no cache traffic.
-                if let Err(e) = screen_request(&fr.request) {
-                    counters.completed += 1;
-                    slots[ti] = Some(FrontResponse {
-                        tenant: fr.tenant,
-                        trace_index: ti,
-                        epoch,
-                        outcome: Outcome::Failed(e),
-                        hit: false,
-                        stale: false,
-                        cohort: None,
-                        cohort_size: 0,
-                        exec_sim_ms: 0.0,
-                        prepare_sim_ms: 0.0,
-                        wasted_sim_ms: 0.0,
-                        latency_sim_ms: 0.0,
-                    });
-                    continue;
+                // with no cohort and no cache traffic. The graph's screen
+                // runs once per `Arc`; the shape check, per request.
+                let screened = screen
+                    .graph(&fr.request.graph)
+                    .and_then(|fp| check_shape(&fr.request).map(|()| fp));
+                match screened {
+                    Ok(fp) => admitted.push((ti, fr, fp)),
+                    Err(e) => {
+                        counters.completed += 1;
+                        slots[ti] = Some(FrontResponse {
+                            tenant: fr.tenant,
+                            trace_index: ti,
+                            epoch,
+                            outcome: Outcome::Failed(e),
+                            hit: false,
+                            stale: false,
+                            cohort: None,
+                            cohort_size: 0,
+                            exec_sim_ms: 0.0,
+                            prepare_sim_ms: 0.0,
+                            wasted_sim_ms: 0.0,
+                            latency_sim_ms: 0.0,
+                        });
+                    }
                 }
-                admitted.push((ti, fr));
             }
             sink.mid_epoch(epoch)?;
 
             // --- Cohort formation: by fingerprint, first-arrival order.
             let mut group_of: HashMap<StructureFingerprint, usize> = HashMap::new();
             let mut groups: Vec<(StructureFingerprint, Vec<(usize, &FrontRequest)>)> = Vec::new();
-            for (ti, fr) in admitted {
-                let fp = StructureFingerprint::of(&fr.request.graph);
+            for (ti, fr, fp) in admitted {
                 let gi = *group_of.entry(fp).or_insert_with(|| {
                     groups.push((fp, Vec::new()));
                     groups.len() - 1
@@ -662,7 +722,7 @@ impl Front {
             for (fp, members) in groups {
                 for chunk in members.chunks(max_cohort) {
                     let (_, first) = chunk[0];
-                    let l = self.cache.lookup(&first.request.graph, dev);
+                    let l = self.cache.lookup_keyed(&first.request.graph, fp, dev);
                     let prepare_ms = if l.hit { 0.0 } else { l.plan.sim_prepare_ms() };
                     let id = counters.cohorts;
                     counters.cohorts += 1;
@@ -711,6 +771,7 @@ impl Front {
                                     let ex = execute_planned(
                                         &job.plan,
                                         &fr.request.graph,
+                                        job.fp,
                                         &fr.request.features,
                                         dev,
                                         &policy,
@@ -793,21 +854,26 @@ impl Front {
             // stale plan served this epoch; the patched plan serves the
             // next.
             let mut_start = mutation_outs.len();
-            for (ti, m) in epoch_mutations {
-                let old_fp = StructureFingerprint::of(&m.base);
+            for (ti, m, base_fp) in epoch_mutations {
                 let mut out = MutationOutcome {
                     trace_index: ti,
                     epoch,
-                    old_fp,
+                    old_fp: base_fp.clone(),
                     new_fp: None,
                     patched: false,
                     swap: None,
                     patch_sim_ms: 0.0,
                 };
+                // A malformed base never reaches the cache, the patcher
+                // or the log: its outcome carries the typed error.
+                let Ok(old_fp) = base_fp else {
+                    mutation_outs.push(out);
+                    continue;
+                };
                 let resident = self.cache.peek(old_fp);
                 let patched = resident
                     .as_ref()
-                    .and_then(|r| r.patch(&m.base, &m.delta, dev).ok());
+                    .and_then(|r| r.patch_keyed(&m.base, old_fp, &m.delta, dev).ok());
                 out.new_fp = match &patched {
                     Some(p) => Some(p.fingerprint),
                     // Unpatchable (LOA plan, delta disagrees with the
@@ -964,6 +1030,7 @@ pub(crate) fn assemble_report(
 mod tests {
     use super::*;
     use graph_sparse::{gen, Csr};
+    use hc_core::Plan;
     use std::sync::Arc;
 
     fn trace_of(mix: &[(u32, &Arc<Csr>)], dim: usize) -> Vec<FrontRequest> {
@@ -989,7 +1056,14 @@ mod tests {
     fn cohorts_amortize_one_prepare_across_members() {
         let dev = DeviceSpec::rtx3090();
         let gs = small_graphs(2);
-        // One epoch: 3 requests on g0, 2 on g1, interleaved.
+        // A distinct `Arc` with g0's structure and other values: the
+        // screen keys on identity, so it is validated on its own, yet it
+        // joins g0's cohort, which keys on structure.
+        let mut reweighted = (*gs[0]).clone();
+        reweighted.vals.iter_mut().for_each(|v| *v *= 0.5);
+        let reweighted = Arc::new(reweighted);
+        // One epoch: 3 requests on g0, 2 on g1, interleaved, then the
+        // reweighted twin of g0.
         let trace = trace_of(
             &[
                 (0, &gs[0]),
@@ -997,6 +1071,7 @@ mod tests {
                 (2, &gs[0]),
                 (3, &gs[1]),
                 (4, &gs[0]),
+                (5, &reweighted),
             ],
             8,
         );
@@ -1011,13 +1086,13 @@ mod tests {
         );
         let rep = front.run_trace(&trace, &dev);
         let c = rep.counters;
-        assert_eq!(c.submitted, 5);
-        assert_eq!(c.admitted, 5);
+        assert_eq!(c.submitted, 6);
+        assert_eq!(c.admitted, 6);
         assert_eq!(c.rejected(), 0);
-        assert_eq!(c.completed, 5);
-        assert_eq!((c.ok, c.degraded, c.failed), (5, 0, 0));
+        assert_eq!(c.completed, 6);
+        assert_eq!((c.ok, c.degraded, c.failed), (6, 0, 0));
         assert_eq!(c.cohorts, 2, "one cohort per structure");
-        assert_eq!(c.cohorted_requests, 5);
+        assert_eq!(c.cohorted_requests, 6);
         assert!((c.cohort_rate() - 1.0).abs() < 1e-12);
         // One preparation per structure, charged to the first member.
         assert_eq!(rep.cache.misses, 2);
@@ -1029,13 +1104,22 @@ mod tests {
             .collect();
         assert_eq!(charged, vec![0, 1]);
         // Members of one cohort share id, size and hit flag; outputs are
-        // bit-identical to the reference pipeline.
+        // bit-identical to a cold plan on each request's own graph.
         for (i, r) in rep.responses.iter().enumerate() {
-            assert_eq!(r.cohort_size, if i % 2 == 0 { 3 } else { 2 });
+            let g0_cohort = i % 2 == 0 || i == 5;
+            assert_eq!(r.cohort_size, if g0_cohort { 4 } else { 2 });
+            assert_eq!(
+                r.cohort,
+                rep.responses[if g0_cohort { 0 } else { 1 }].cohort
+            );
             assert!(!r.hit, "cold cache");
             assert!(r.latency_sim_ms > 0.0);
             let req = &trace[i].request;
             let z = r.z().expect("faults off: everything serves");
+            let cold = Plan::prepare(&req.graph, PlanSpec::hybrid(), &dev)
+                .execute(&req.graph, &req.features, &dev)
+                .z;
+            assert_eq!(*z, cold, "request {i}");
             assert!(req.graph.spmm_reference(&req.features).max_abs_diff(z) < 0.05);
         }
     }
@@ -1123,8 +1207,25 @@ mod tests {
         let mut broken = (*gs[0]).clone();
         broken.col_idx[0] = 10_000;
         let broken = Arc::new(broken);
-        let mut trace = trace_of(&[(0, &gs[0]), (1, &broken), (0, &gs[0])], 8);
-        // Shape mismatch on the last entry.
+        // g0's structure with a NaN value, in an `Arc` of its own: a screen
+        // keyed on structure would wave it through after g0.
+        let mut nan_twin = (*gs[0]).clone();
+        nan_twin.vals[0] = f32::NAN;
+        let nan_twin = Arc::new(nan_twin);
+        // The malformed `Arc` arrives twice: the second request recalls
+        // the screen's verdict and must fail the same way.
+        let mut trace = trace_of(
+            &[
+                (0, &gs[0]),
+                (1, &broken),
+                (0, &gs[0]),
+                (3, &broken),
+                (2, &nan_twin),
+            ],
+            8,
+        );
+        // Shape mismatch on the last entry, on a graph already screened
+        // clean: the shape check runs per request.
         trace.push(FrontRequest {
             tenant: TenantId(2),
             request: Request {
@@ -1134,22 +1235,36 @@ mod tests {
         });
         let front = Front::new(u64::MAX / 16, PlanSpec::hybrid(), 2, FrontConfig::default());
         let rep = front.run_trace(&trace, &dev);
+        for i in [1, 3] {
+            assert_eq!(
+                rep.responses[i].outcome,
+                Outcome::Failed(HcError::BadInput(
+                    graph_sparse::CsrError::ColumnOutOfRange {
+                        entry: 0,
+                        col: 10_000
+                    }
+                )),
+                "request {i}"
+            );
+        }
+        assert_eq!(
+            rep.responses[4].outcome,
+            Outcome::Failed(HcError::BadInput(graph_sparse::CsrError::NonFiniteValue {
+                entry: 0
+            }))
+        );
         assert!(matches!(
-            rep.responses[1].outcome,
-            Outcome::Failed(HcError::BadInput(_))
-        ));
-        assert!(matches!(
-            rep.responses[3].outcome,
+            rep.responses[5].outcome,
             Outcome::Failed(HcError::ShapeMismatch { .. })
         ));
-        for bad in [&rep.responses[1], &rep.responses[3]] {
-            assert_eq!(bad.cohort, None);
-            assert_eq!(bad.cohort_size, 0);
+        for i in [1, 3, 4, 5] {
+            assert_eq!(rep.responses[i].cohort, None);
+            assert_eq!(rep.responses[i].cohort_size, 0);
         }
         // Only the two healthy requests touched the cache: one cohort.
         assert_eq!(rep.cache.requests, 1);
         assert_eq!(rep.counters.cohorts, 1);
-        assert_eq!(rep.counters.failed, 2);
+        assert_eq!(rep.counters.failed, 4);
         assert_eq!(rep.counters.ok, 2);
     }
 
@@ -1260,6 +1375,9 @@ mod tests {
         assert_eq!((m.trace_index, m.epoch), (6, 1));
         assert!(m.patched);
         assert_eq!(m.swap, Some(SwapOutcome::Swapped));
+        // The base is the very `Arc` the earlier requests carried: its
+        // screened fingerprint is reused, and it is the base's own.
+        assert_eq!(m.old_fp, Ok(StructureFingerprint::of(&g0)));
         assert_eq!(m.new_fp, Some(StructureFingerprint::of(&g1)));
         assert!(m.patch_sim_ms > 0.0);
 

@@ -127,7 +127,13 @@ impl SharedPlanCache {
     /// superseded the plan's structure and the patched replacement has not
     /// been swapped in yet. Freshly prepared plans are never stale.
     pub fn lookup(&self, a: &Csr, dev: &DeviceSpec) -> Lookup {
-        let fp = StructureFingerprint::of(a);
+        self.lookup_keyed(a, StructureFingerprint::of(a), dev)
+    }
+
+    /// [`lookup`](SharedPlanCache::lookup) for a caller that already holds
+    /// `a`'s fingerprint: `fp` must be `StructureFingerprint::of(a)`, and
+    /// it addresses the shard and the entry in place of re-hashing `a`.
+    pub fn lookup_keyed(&self, a: &Csr, fp: StructureFingerprint, dev: &DeviceSpec) -> Lookup {
         if let Some((plan, stale)) = self.shard(fp).lock().touch(fp) {
             return Lookup {
                 plan,
@@ -137,6 +143,10 @@ impl SharedPlanCache {
         }
         // Miss counted; prepare outside the lock.
         let plan = Arc::new(Plan::prepare(a, self.spec, dev));
+        debug_assert_eq!(
+            plan.fingerprint, fp,
+            "lookup key is not the graph's fingerprint"
+        );
         let mut shard = self.shard(fp).lock();
         // Lock order: shard → quarantine registry (held only for the
         // membership probe).

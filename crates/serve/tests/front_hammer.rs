@@ -338,7 +338,7 @@ fn churn_mix_counts_stale_serves_exactly_and_stays_deterministic() {
     for (m, (g, gp)) in base.mutations.iter().zip([(&g0, &g0p), (&g1, &g1p)]) {
         assert!(m.patched, "resident plan must be patched, not re-prepared");
         assert_eq!(m.swap, Some(hc_serve::SwapOutcome::Swapped));
-        assert_eq!(m.old_fp, graph_sparse::StructureFingerprint::of(g));
+        assert_eq!(m.old_fp, Ok(graph_sparse::StructureFingerprint::of(g)));
         assert_eq!(m.new_fp, Some(graph_sparse::StructureFingerprint::of(gp)));
         assert!(m.patch_sim_ms > 0.0, "dirty-window re-plan bills sim time");
     }
@@ -462,7 +462,7 @@ fn quarantine_survives_the_swap_and_is_never_re_served() {
     assert_eq!(base.mutations.len(), 1);
     let m = &base.mutations[0];
     assert!(m.patched);
-    assert_eq!(m.old_fp, old_fp);
+    assert_eq!(m.old_fp, Ok(old_fp));
     assert_eq!(m.new_fp, Some(new_fp));
     assert_eq!(m.swap, Some(hc_serve::SwapOutcome::Quarantined));
     assert_eq!(base.cache.swaps, 0, "a quarantined swap is not a swap");

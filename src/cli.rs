@@ -739,7 +739,9 @@ fn cmd_serve_churn(flags: &HashMap<String, String>) -> i32 {
 /// churn/admission/latency summaries, and the exit code.
 fn print_churn_report(rep: &hc_serve::FrontReport) -> i32 {
     for m in &rep.mutations {
-        let status = if m.patched {
+        let status = if let Err(e) = &m.old_fp {
+            format!("rejected: {e}")
+        } else if m.patched {
             format!(
                 "patched ({:.4} ms sim, dirty windows only) and {}",
                 m.patch_sim_ms,
