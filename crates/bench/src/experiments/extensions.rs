@@ -1273,6 +1273,7 @@ pub fn recovery(_cache: &mut DatasetCache, dev: &DeviceSpec) -> (String, Recover
     let d1 = one_edge_churn(&g1).expect("generated graph churns");
     let g0p = Arc::new(d0.apply(&g0).expect("valid delta"));
     let g1p = Arc::new(d1.apply(&g1).expect("valid delta"));
+    let d2 = one_edge_churn(&g0p).expect("generated graph churns");
 
     let serve = |g: &Arc<graph_sparse::Csr>, i: usize| {
         FrontEvent::Serve(FrontRequest {
@@ -1283,11 +1284,14 @@ pub fn recovery(_cache: &mut DatasetCache, dev: &DeviceSpec) -> (String, Recover
             },
         })
     };
-    // Eight epochs: warm, two mutation epochs, then five epochs of
-    // tip-of-chain traffic — a long completed prefix for the cold
-    // baseline to price.
+    // Ten epochs of six events (57 serves, 3 mutations): warm, two
+    // mutation epochs, then tip-of-chain traffic — a long completed
+    // prefix for the cold baseline to price. The third mutation, in
+    // epoch 8, moves `g0p` to a graph no request serves and the trace
+    // does not carry: after the last snapshot (epoch 7) only the WAL
+    // knows it, so recovery must replay its delta and patch its plan.
     let mut events = Vec::new();
-    for i in 0..EPOCH * 8 {
+    for i in 0..EPOCH * 10 - 3 {
         if i == 7 {
             events.push(FrontEvent::Mutate(Mutation {
                 base: Arc::clone(&g0),
@@ -1298,6 +1302,12 @@ pub fn recovery(_cache: &mut DatasetCache, dev: &DeviceSpec) -> (String, Recover
             events.push(FrontEvent::Mutate(Mutation {
                 base: Arc::clone(&g1),
                 delta: d1.clone(),
+            }));
+        }
+        if i == 47 {
+            events.push(FrontEvent::Mutate(Mutation {
+                base: Arc::clone(&g0p),
+                delta: d2.clone(),
             }));
         }
         let g = match i {
@@ -1784,6 +1794,11 @@ mod tests {
             "recovered report diverged from the uncrashed control:\n{text}"
         );
         assert_eq!(m.double_applied, 0, "{text}");
+        // The headline crash point must exercise the WAL: a delta the
+        // snapshot does not cover is replayed, and its plan is rebuilt
+        // by patch replay rather than a full prepare.
+        assert!(m.replayed_deltas > 0, "no delta replayed:\n{text}");
+        assert!(m.patch_replays > 0, "no patch replayed:\n{text}");
         assert!(
             m.recovery_ratio <= 0.5,
             "recovery ratio {}: warm recovery is not meaningfully cheaper \

@@ -27,6 +27,13 @@
 //! delivered: recovery resumes at `marker.epoch + 1` and never
 //! re-delivers or drops an epoch.
 //!
+//! Delivery is a move: the front gives up each epoch's responses and
+//! mutation outcomes at the barrier, so every served output exists once.
+//! A completed attempt's responses live in [`RunAttempt::report`]; a
+//! crashed attempt's stay in [`RunAttempt::delivered`] and
+//! [`RunAttempt::delivered_mutations`]. [`run_to_completion`] merges from
+//! whichever field holds them.
+//!
 //! ## Idempotent replay
 //!
 //! Replay is fingerprint-gated: a delta record whose post-apply graph is
@@ -46,8 +53,8 @@ use graph_sparse::{Csr, StructureFingerprint};
 use hc_core::{Plan, PlanSpec};
 
 use crate::front::{
-    assemble_report, EpochEnd, EpochSink, Front, FrontCounters, FrontEvent, FrontReport,
-    FrontResponse, MutationOutcome, Screen,
+    EpochEnd, EpochSink, Front, FrontCounters, FrontEvent, FrontReport, FrontResponse,
+    MutationOutcome, Screen,
 };
 use crate::snapshot::Snapshot;
 use crate::wal::{DeltaRecord, EpochMarker, RecoveryError, Wal};
@@ -107,15 +114,21 @@ enum SinkHalt {
 
 /// One [`DurableFront::run`] attempt: either the trace completed
 /// (`report` is `Some`) or an injected crash stopped it (`crash` is
-/// `Some`). `delivered` holds what reached the client either way —
-/// crashed attempts keep their delivered epochs, exactly like a real
-/// client would.
+/// `Some`). What reached the client lives in exactly one place: a
+/// completed attempt's responses and mutation outcomes in `report`, a
+/// crashed attempt's in `delivered` and `delivered_mutations` — crashed
+/// attempts keep their delivered epochs, exactly like a real client
+/// would.
 pub struct RunAttempt {
-    /// The attempt's report over the epochs it ran, when it completed.
+    /// The attempt's report over the epochs it ran, when it completed. It
+    /// holds the only copy of every response the attempt delivered.
     pub report: Option<FrontReport>,
-    /// Responses delivered at epoch barriers (durable ⇒ delivered).
+    /// Responses delivered at epoch barriers before an injected crash
+    /// (durable ⇒ delivered). Empty when the attempt completed: its
+    /// responses live in `report`.
     pub delivered: Vec<FrontResponse>,
-    /// Mutation outcomes delivered at epoch barriers.
+    /// Mutation outcomes delivered at epoch barriers before an injected
+    /// crash. Empty when the attempt completed, like `delivered`.
     pub delivered_mutations: Vec<MutationOutcome>,
     /// Cumulative pre-aggregation counters at the last completed barrier.
     pub last_counters: FrontCounters,
@@ -306,6 +319,7 @@ impl DurableFront {
         events: &[FrontEvent],
         dev: &DeviceSpec,
     ) -> Result<RunAttempt, RecoveryError> {
+        let t0 = Instant::now();
         // One screen for the whole call: collecting the trace's graphs
         // fills it, and the front reuses it for every request.
         let mut screen = Screen::default();
@@ -329,10 +343,15 @@ impl DurableFront {
             &mut screen,
             &mut sink,
         ) {
-            Ok(report) => Ok(RunAttempt {
-                report: Some(report),
-                delivered: sink.delivered,
-                delivered_mutations: sink.delivered_mutations,
+            Ok(counters) => Ok(RunAttempt {
+                report: Some(self.front.assemble_report(
+                    sink.delivered,
+                    counters,
+                    sink.delivered_mutations,
+                    t0,
+                )),
+                delivered: Vec::new(),
+                delivered_mutations: Vec::new(),
                 last_counters: sink.last_counters,
                 crash: None,
             }),
@@ -384,36 +403,31 @@ pub fn run_to_completion(
             });
         }
         let attempt = df.run(events, dev)?;
+        // Each delivered response lives in one field: a crashed
+        // attempt's in `delivered`, the completing attempt's in its
+        // report.
         delivered.extend(attempt.delivered);
         delivered_mutations.extend(attempt.delivered_mutations);
-        match attempt.crash {
-            None => {
-                delivered.sort_by_key(|r| r.trace_index);
-                delivered_mutations.sort_by_key(|m| m.trace_index);
-                let slo = df.front.config().slo_sim_ms;
-                let report = assemble_report(
-                    delivered,
-                    attempt.last_counters,
-                    delivered_mutations,
-                    df.front.cache().stats(),
-                    slo,
-                    t0.elapsed().as_secs_f64() * 1e3,
-                );
-                return Ok(RunOutcome {
-                    report,
-                    attempts,
-                    crashes,
-                    recoveries,
-                    crash_points: scope.points(),
-                });
-            }
-            Some(site) => {
-                crashes.push(site);
-                let (next, stats) = DurableFront::recover(mk_front(), cfg.clone(), events, dev)?;
-                recoveries.push(stats);
-                df = next;
-            }
+        if let Some(rep) = attempt.report {
+            delivered.extend(rep.responses);
+            delivered_mutations.extend(rep.mutations);
+            delivered.sort_by_key(|r| r.trace_index);
+            delivered_mutations.sort_by_key(|m| m.trace_index);
+            let report =
+                df.front
+                    .assemble_report(delivered, attempt.last_counters, delivered_mutations, t0);
+            return Ok(RunOutcome {
+                report,
+                attempts,
+                crashes,
+                recoveries,
+                crash_points: scope.points(),
+            });
         }
+        crashes.extend(attempt.crash);
+        let (next, stats) = DurableFront::recover(mk_front(), cfg.clone(), events, dev)?;
+        recoveries.push(stats);
+        df = next;
     }
 }
 
@@ -568,23 +582,22 @@ impl EpochSink for DurableSink<'_> {
         Ok(())
     }
 
-    fn epoch_end(&mut self, end: EpochEnd<'_>) -> Result<(), SinkHalt> {
+    fn epoch_end(&mut self, end: EpochEnd) -> Result<(), SinkHalt> {
         let (shard_residency, quarantine) = self.cache.collect_recoverable();
         let marker = EpochMarker {
             epoch: end.epoch as u64,
-            counters: *end.counters,
+            counters: end.counters,
             cache: self.cache.stats(),
             shard_residency,
             quarantine,
         };
         self.wal.append_marker(&marker).map_err(SinkHalt::Error)?;
         // Durable ⇒ delivered: no crash point between the marker fsync
-        // above and handing this epoch's responses to the client.
-        self.delivered
-            .extend(end.responses.iter().filter_map(|s| s.clone()));
-        self.delivered_mutations
-            .extend(end.mutations.iter().cloned());
-        self.last_counters = *end.counters;
+        // above and handing this epoch's responses to the client. They
+        // move, so the client holds the only copy.
+        self.delivered.extend(end.responses);
+        self.delivered_mutations.extend(end.mutations);
+        self.last_counters = end.counters;
 
         if self.cfg.snapshot_every > 0
             && (end.epoch as u64 + 1).is_multiple_of(self.cfg.snapshot_every)
@@ -617,5 +630,76 @@ impl EpochSink for DurableSink<'_> {
                 .map_err(SinkHalt::Error)?;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::driver::Request;
+    use crate::front::{FrontConfig, FrontRequest, TenantId};
+    use graph_sparse::{gen, DenseMatrix};
+
+    #[test]
+    fn resumed_report_amortizes_over_its_own_responses() {
+        let dev = DeviceSpec::rtx3090();
+        let gs: Vec<Arc<Csr>> = (0..3)
+            .map(|i| Arc::new(gen::erdos_renyi(128, 600, 40 + i)))
+            .collect();
+        let events: Vec<FrontEvent> = (0..48)
+            .map(|i| {
+                FrontEvent::Serve(FrontRequest {
+                    tenant: TenantId((i % 4) as u32),
+                    request: Request {
+                        graph: Arc::clone(&gs[i % 3]),
+                        features: DenseMatrix::random_features(128, 8, i as u64),
+                    },
+                })
+            })
+            .collect();
+        let mk_front = || {
+            Front::new(
+                1 << 30,
+                PlanSpec::hybrid(),
+                2,
+                FrontConfig {
+                    workers: 2,
+                    arrivals_per_epoch: 16,
+                    ..Default::default()
+                },
+            )
+        };
+        let dir = std::env::temp_dir();
+        let cfg = DurabilityConfig {
+            wal_path: dir.join(format!("hc-amortized-{}.wal", std::process::id())),
+            snapshot_path: dir.join(format!("hc-amortized-{}.snap", std::process::id())),
+            snapshot_every: 0,
+        };
+
+        // Crash point 1 is epoch 1's mid-epoch point: epoch 0 is durable
+        // and delivered, the resumed run serves epochs 1 and 2.
+        let mut df = DurableFront::create(mk_front(), cfg.clone()).expect("create the WAL");
+        let scope = CrashScope::install(CrashConfig::at(1));
+        let crashed = df.run(&events, &dev).expect("run to the injected crash");
+        drop(scope);
+        assert_eq!(crashed.crash, Some(CrashSite::MidEpoch));
+        assert_eq!(crashed.delivered.len(), 16);
+        let (mut df, _) =
+            DurableFront::recover(mk_front(), cfg.clone(), &events, &dev).expect("recover");
+        let resumed = df.run(&events, &dev).expect("resumed run");
+        let _ = std::fs::remove_file(&cfg.wal_path);
+        let rep = resumed.report.expect("no crash is injected");
+
+        assert_eq!(rep.counters.admitted, 48, "counters are cumulative");
+        let admitted: Vec<f64> = rep
+            .responses
+            .iter()
+            .filter(|r| !r.is_rejected())
+            .map(|r| r.prepare_sim_ms + r.exec_sim_ms + r.wasted_sim_ms)
+            .collect();
+        assert_eq!(admitted.len(), 32, "the report holds epochs 1 and 2");
+        let mean = admitted.iter().sum::<f64>() / 32.0;
+        assert!(mean > 0.0);
+        assert_eq!(rep.amortized_sim_ms(), mean);
     }
 }

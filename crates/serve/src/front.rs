@@ -346,9 +346,15 @@ pub struct FrontReport {
 
 impl FrontReport {
     /// Total simulated cost (prepare + exec + wasted) per admitted
-    /// request — the amortization headline the benchmark gates.
+    /// request this report holds — the amortization headline the
+    /// benchmark gates. The divisor counts the report's own admitted
+    /// responses, not `counters.admitted`: a resumed
+    /// [`DurableFront::run`](crate::DurableFront::run) reports only the
+    /// epochs it ran, while its counters are cumulative. On a complete
+    /// report the two counts agree.
     pub fn amortized_sim_ms(&self) -> f64 {
-        if self.counters.admitted == 0 {
+        let admitted = self.responses.iter().filter(|r| !r.is_rejected()).count();
+        if admitted == 0 {
             return 0.0;
         }
         let total: f64 = self
@@ -356,7 +362,7 @@ impl FrontReport {
             .iter()
             .map(|r| r.prepare_sim_ms + r.exec_sim_ms + r.wasted_sim_ms)
             .sum();
-        total / self.counters.admitted as f64
+        total / admitted as f64
     }
 }
 
@@ -436,23 +442,24 @@ struct CohortDone {
 
 /// Everything visible at one epoch barrier, handed to the
 /// [`EpochSink`] after the epoch's mutations swapped and before the next
-/// epoch starts.
-pub(crate) struct EpochEnd<'a> {
+/// epoch starts. The responses and mutation outcomes are moved out of the
+/// front: from here on the sink holds the only copy.
+pub(crate) struct EpochEnd {
     /// Global epoch index.
     pub epoch: usize,
     /// Cumulative counters at the barrier (pre-aggregation: `ok`,
     /// `degraded` and `failed` are computed from responses at report
     /// time, never here).
-    pub counters: &'a FrontCounters,
-    /// This epoch's response slots (`None` for mutation events).
-    pub responses: &'a [Option<FrontResponse>],
-    /// This epoch's mutation outcomes.
-    pub mutations: &'a [MutationOutcome],
+    pub counters: FrontCounters,
+    /// This epoch's responses, one per serve event, in trace order.
+    pub responses: Vec<FrontResponse>,
+    /// This epoch's mutation outcomes, in trace order.
+    pub mutations: Vec<MutationOutcome>,
 }
 
 /// Epoch-boundary hooks the durability layer installs on
-/// [`Front::run_events_from`]. The default no-op sink reduces it to the
-/// plain in-memory run. Returning `Err` unwinds the run to its recovery
+/// [`Front::run_events_from`]. The plain sink only collects what each
+/// barrier delivers. Returning `Err` unwinds the run to its recovery
 /// boundary — this is how injected crashes and WAL I/O errors stop the
 /// front without panicking.
 pub(crate) trait EpochSink {
@@ -475,15 +482,19 @@ pub(crate) trait EpochSink {
 
     /// Called at the epoch barrier after the mutation swaps: the commit
     /// point where the durability layer writes its fsync marker and
-    /// delivers the epoch's responses.
-    fn epoch_end(&mut self, end: EpochEnd<'_>) -> Result<(), Self::Halt>;
+    /// takes delivery of the epoch's responses.
+    fn epoch_end(&mut self, end: EpochEnd) -> Result<(), Self::Halt>;
 }
 
-/// The sink behind plain [`Front::run_events`]: does nothing, cannot
-/// halt.
-struct NoopSink;
+/// The sink behind plain [`Front::run_events`]: collects every epoch's
+/// responses and mutation outcomes, cannot halt.
+#[derive(Default)]
+struct CollectSink {
+    responses: Vec<FrontResponse>,
+    mutations: Vec<MutationOutcome>,
+}
 
-impl EpochSink for NoopSink {
+impl EpochSink for CollectSink {
     type Halt = std::convert::Infallible;
 
     fn mid_epoch(&mut self, _epoch: usize) -> Result<(), Self::Halt> {
@@ -501,7 +512,9 @@ impl EpochSink for NoopSink {
         Ok(())
     }
 
-    fn epoch_end(&mut self, _end: EpochEnd<'_>) -> Result<(), Self::Halt> {
+    fn epoch_end(&mut self, end: EpochEnd) -> Result<(), Self::Halt> {
+        self.responses.extend(end.responses);
+        self.mutations.extend(end.mutations);
         Ok(())
     }
 }
@@ -566,18 +579,20 @@ impl Front {
     /// mutation affects every request of its own epoch regardless of
     /// relative position within the epoch.
     pub fn run_events(&self, events: &[FrontEvent], dev: &DeviceSpec) -> FrontReport {
-        let mut screen = Screen::default();
-        match self.run_events_from(
+        let t0 = Instant::now();
+        let mut sink = CollectSink::default();
+        let counters = match self.run_events_from(
             events,
             dev,
             0,
             FrontCounters::default(),
-            &mut screen,
-            &mut NoopSink,
+            &mut Screen::default(),
+            &mut sink,
         ) {
-            Ok(report) => report,
+            Ok(counters) => counters,
             Err(halt) => match halt {},
-        }
+        };
+        self.assemble_report(sink.responses, counters, sink.mutations, t0)
     }
 
     /// [`run_events`](Front::run_events) with a resume point and
@@ -588,9 +603,10 @@ impl Front {
     /// are skipped (their effects live in `counters_seed` and in the
     /// restored cache), so trace indices, epoch numbers and per-request
     /// fault streams are globally stable across a crash/recover/resume
-    /// cycle. The returned report covers only the epochs this call ran;
-    /// the durability layer merges it with what earlier attempts
-    /// delivered.
+    /// cycle. Each epoch's responses and mutation outcomes are moved into
+    /// `sink` at its barrier, never kept here, so the caller assembles
+    /// its report from what its sink holds. Returns the cumulative
+    /// pre-aggregation counters after the last epoch.
     ///
     /// `screen` validates and fingerprints each distinct graph `Arc` in
     /// `events` once; the durability layer passes the screen it already
@@ -603,8 +619,7 @@ impl Front {
         counters_seed: FrontCounters,
         screen: &mut Screen<'t>,
         sink: &mut S,
-    ) -> Result<FrontReport, S::Halt> {
-        let t0 = Instant::now();
+    ) -> Result<FrontCounters, S::Halt> {
         let cfg = self.cfg;
         let queue_depth = cfg.queue_depth.max(1);
         let tenant_quota = cfg.tenant_quota.max(1);
@@ -612,12 +627,15 @@ impl Front {
         let max_cohort = cfg.max_cohort.max(1);
 
         let mut counters = counters_seed;
-        let mut slots: Vec<Option<FrontResponse>> = events.iter().map(|_| None).collect();
-        let mut mutation_outs: Vec<MutationOutcome> = Vec::new();
+        // The current epoch's response slots, by offset in the epoch
+        // (`None` for mutation events); emptied into the sink at its
+        // barrier.
+        let mut slots: Vec<Option<FrontResponse>> = Vec::with_capacity(epoch_len);
 
         for (epoch, arrivals) in events.chunks(epoch_len).enumerate().skip(start_epoch) {
             counters.epochs += 1;
             let base = epoch * epoch_len;
+            slots.resize_with(arrivals.len(), || None);
 
             // --- Admission: arrival order, pure function of the trace.
             // Mutations are admitted unconditionally (control plane) and
@@ -658,7 +676,7 @@ impl Front {
                         OverloadReason::QueueFull => counters.rejected_queue += 1,
                         OverloadReason::TenantQuota => counters.rejected_quota += 1,
                     }
-                    slots[ti] = Some(FrontResponse {
+                    slots[off] = Some(FrontResponse {
                         tenant: fr.tenant,
                         trace_index: ti,
                         epoch,
@@ -686,7 +704,7 @@ impl Front {
                     Ok(fp) => admitted.push((ti, fr, fp)),
                     Err(e) => {
                         counters.completed += 1;
-                        slots[ti] = Some(FrontResponse {
+                        slots[off] = Some(FrontResponse {
                             tenant: fr.tenant,
                             trace_index: ti,
                             epoch,
@@ -832,7 +850,7 @@ impl Front {
                         FrontEvent::Serve(fr) => fr.tenant,
                         FrontEvent::Mutate(_) => unreachable!("mutations never join cohorts"),
                     };
-                    slots[out.trace_index] = Some(FrontResponse {
+                    slots[out.trace_index - base] = Some(FrontResponse {
                         tenant,
                         trace_index: out.trace_index,
                         epoch,
@@ -853,7 +871,7 @@ impl Front {
             // in arrival order, after the epoch's cohorts drained — the
             // stale plan served this epoch; the patched plan serves the
             // next.
-            let mut_start = mutation_outs.len();
+            let mut mutation_outs: Vec<MutationOutcome> = Vec::with_capacity(epoch_mutations.len());
             for (ti, m, base_fp) in epoch_mutations {
                 let mut out = MutationOutcome {
                     trace_index: ti,
@@ -910,119 +928,111 @@ impl Front {
                 mutation_outs.push(out);
             }
 
+            // Delivery is a move: the slots are emptied into the sink.
+            let responses = slots
+                .drain(..)
+                .zip(arrivals)
+                .filter_map(|(s, ev)| match ev {
+                    FrontEvent::Serve(_) => Some(s.expect("every serve event produces a response")),
+                    FrontEvent::Mutate(_) => None,
+                })
+                .collect();
             sink.epoch_end(EpochEnd {
                 epoch,
-                counters: &counters,
-                responses: &slots[base..base + arrivals.len()],
-                mutations: &mutation_outs[mut_start..],
+                counters,
+                responses,
+                mutations: mutation_outs,
             })?;
         }
+        Ok(counters)
+    }
 
-        let resumed = (start_epoch * epoch_len).min(events.len());
-        let responses: Vec<FrontResponse> = slots
-            .into_iter()
-            .zip(events)
-            .skip(resumed)
-            .filter_map(|(s, ev)| match ev {
-                FrontEvent::Serve(_) => Some(s.expect("every serve event produces a response")),
-                FrontEvent::Mutate(_) => None,
+    /// Fold responses into the final [`FrontReport`], with this front's
+    /// cache statistics and SLO and the wall time since `started`:
+    /// latency percentiles, per-tenant accounting, and the
+    /// `ok`/`degraded`/`failed` counter tail that is a pure function of
+    /// the responses (epoch markers persist the pre-aggregation counters;
+    /// recovery re-derives these from the merged response set).
+    pub(crate) fn assemble_report(
+        &self,
+        responses: Vec<FrontResponse>,
+        mut counters: FrontCounters,
+        mutations: Vec<MutationOutcome>,
+        started: Instant,
+    ) -> FrontReport {
+        let wall_ms = started.elapsed().as_secs_f64() * 1e3;
+        let slo_sim_ms = self.cfg.slo_sim_ms;
+        let mut latencies: Vec<f64> = Vec::new();
+        let mut tenants: std::collections::BTreeMap<TenantId, (TenantStats, Vec<f64>)> =
+            std::collections::BTreeMap::new();
+        for r in &responses {
+            let (ts, lats) = tenants.entry(r.tenant).or_insert_with(|| {
+                (
+                    TenantStats {
+                        tenant: r.tenant,
+                        submitted: 0,
+                        admitted: 0,
+                        rejected: 0,
+                        served: 0,
+                        failed: 0,
+                        slo_violations: 0,
+                        p99_sim_ms: 0.0,
+                    },
+                    Vec::new(),
+                )
+            });
+            ts.submitted += 1;
+            if r.is_rejected() {
+                ts.rejected += 1;
+                continue;
+            }
+            ts.admitted += 1;
+            match &r.outcome {
+                Outcome::Ok(_) => counters.ok += 1,
+                Outcome::Degraded { .. } => counters.degraded += 1,
+                Outcome::Failed(_) => {
+                    counters.failed += 1;
+                    ts.failed += 1;
+                    continue;
+                }
+            }
+            ts.served += 1;
+            if r.latency_sim_ms > slo_sim_ms {
+                ts.slo_violations += 1;
+            }
+            latencies.push(r.latency_sim_ms);
+            lats.push(r.latency_sim_ms);
+        }
+        latencies.sort_by(f64::total_cmp);
+        let latency = LatencyStats {
+            served: latencies.len() as u64,
+            p50_sim_ms: percentile(&latencies, 50.0),
+            p99_sim_ms: percentile(&latencies, 99.0),
+            mean_sim_ms: if latencies.is_empty() {
+                0.0
+            } else {
+                latencies.iter().sum::<f64>() / latencies.len() as f64
+            },
+            max_sim_ms: latencies.last().copied().unwrap_or(0.0),
+        };
+        let tenants: Vec<TenantStats> = tenants
+            .into_values()
+            .map(|(mut ts, mut lats)| {
+                lats.sort_by(f64::total_cmp);
+                ts.p99_sim_ms = percentile(&lats, 99.0);
+                ts
             })
             .collect();
 
-        Ok(assemble_report(
+        FrontReport {
             responses,
             counters,
-            mutation_outs,
-            self.cache.stats(),
-            cfg.slo_sim_ms,
-            t0.elapsed().as_secs_f64() * 1e3,
-        ))
-    }
-}
-
-/// Fold responses into the final [`FrontReport`]: latency percentiles,
-/// per-tenant accounting, and the `ok`/`degraded`/`failed` counter tail
-/// that is a pure function of the responses (epoch markers persist the
-/// pre-aggregation counters; recovery re-derives these from the merged
-/// response set).
-pub(crate) fn assemble_report(
-    responses: Vec<FrontResponse>,
-    mut counters: FrontCounters,
-    mutations: Vec<MutationOutcome>,
-    cache: CacheStats,
-    slo_sim_ms: f64,
-    wall_ms: f64,
-) -> FrontReport {
-    let mut latencies: Vec<f64> = Vec::new();
-    let mut tenants: std::collections::BTreeMap<TenantId, (TenantStats, Vec<f64>)> =
-        std::collections::BTreeMap::new();
-    for r in &responses {
-        let (ts, lats) = tenants.entry(r.tenant).or_insert_with(|| {
-            (
-                TenantStats {
-                    tenant: r.tenant,
-                    submitted: 0,
-                    admitted: 0,
-                    rejected: 0,
-                    served: 0,
-                    failed: 0,
-                    slo_violations: 0,
-                    p99_sim_ms: 0.0,
-                },
-                Vec::new(),
-            )
-        });
-        ts.submitted += 1;
-        if r.is_rejected() {
-            ts.rejected += 1;
-            continue;
+            latency,
+            tenants,
+            mutations,
+            cache: self.cache.stats(),
+            wall_ms,
         }
-        ts.admitted += 1;
-        match &r.outcome {
-            Outcome::Ok(_) => counters.ok += 1,
-            Outcome::Degraded { .. } => counters.degraded += 1,
-            Outcome::Failed(_) => {
-                counters.failed += 1;
-                ts.failed += 1;
-                continue;
-            }
-        }
-        ts.served += 1;
-        if r.latency_sim_ms > slo_sim_ms {
-            ts.slo_violations += 1;
-        }
-        latencies.push(r.latency_sim_ms);
-        lats.push(r.latency_sim_ms);
-    }
-    latencies.sort_by(f64::total_cmp);
-    let latency = LatencyStats {
-        served: latencies.len() as u64,
-        p50_sim_ms: percentile(&latencies, 50.0),
-        p99_sim_ms: percentile(&latencies, 99.0),
-        mean_sim_ms: if latencies.is_empty() {
-            0.0
-        } else {
-            latencies.iter().sum::<f64>() / latencies.len() as f64
-        },
-        max_sim_ms: latencies.last().copied().unwrap_or(0.0),
-    };
-    let tenants: Vec<TenantStats> = tenants
-        .into_values()
-        .map(|(mut ts, mut lats)| {
-            lats.sort_by(f64::total_cmp);
-            ts.p99_sim_ms = percentile(&lats, 99.0);
-            ts
-        })
-        .collect();
-
-    FrontReport {
-        responses,
-        counters,
-        latency,
-        tenants,
-        mutations,
-        cache,
-        wall_ms,
     }
 }
 

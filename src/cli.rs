@@ -732,12 +732,15 @@ fn cmd_serve_churn(flags: &HashMap<String, String>) -> i32 {
         return serve_churn_durable(front, &events, &dev, flags, wal);
     }
     let rep = front.run_events(&events, &dev);
-    print_churn_report(&rep)
+    print_churn_report(&rep, None)
 }
 
 /// The shared report tail of `serve-churn`: per-mutation patch outcomes,
-/// churn/admission/latency summaries, and the exit code.
-fn print_churn_report(rep: &hc_serve::FrontReport) -> i32 {
+/// churn/admission/latency summaries, and the exit code. A recovered run
+/// passes the epoch it resumed at: its report holds only the epochs from
+/// there on, so the latency and outcome lines say so, while the
+/// admission counters stay cumulative over the whole trace.
+fn print_churn_report(rep: &hc_serve::FrontReport, resumed_at: Option<usize>) -> i32 {
     for m in &rep.mutations {
         let status = if let Err(e) = &m.old_fp {
             format!("rejected: {e}")
@@ -776,9 +779,10 @@ fn print_churn_report(rep: &hc_serve::FrontReport) -> i32 {
         rep.cache.misses,
         rep.cache.stale_hits
     );
+    let scope = resumed_at.map_or_else(String::new, |e| format!(" over resumed epochs {e}+"));
     println!(
-        "latency (sim): p50 {:.4} / p99 {:.4} / max {:.4} ms over {} served; amortized \
-         {:.4} ms/request",
+        "latency (sim){scope}: p50 {:.4} / p99 {:.4} / max {:.4} ms over {} served; \
+         amortized {:.4} ms/request",
         rep.latency.p50_sim_ms,
         rep.latency.p99_sim_ms,
         rep.latency.max_sim_ms,
@@ -786,7 +790,7 @@ fn print_churn_report(rep: &hc_serve::FrontReport) -> i32 {
         rep.amortized_sim_ms()
     );
     println!(
-        "outcomes: {} ok / {} degraded / {} failed",
+        "outcomes{scope}: {} ok / {} degraded / {} failed",
         c.ok, c.degraded, c.failed
     );
     if c.failed > 0 {
@@ -871,6 +875,7 @@ fn serve_churn_durable(
         }
     };
 
+    let resumed_at = flags.contains_key("recover").then(|| df.resume_epoch());
     let _scope = crash_at.map(|k| CrashScope::install(CrashConfig::at(k)));
     match df.run(events, dev) {
         Err(e) => {
@@ -892,7 +897,7 @@ fn serve_churn_durable(
                 let rep = attempt
                     .report
                     .expect("an uncrashed attempt always carries its report");
-                print_churn_report(&rep)
+                print_churn_report(&rep, resumed_at)
             }
         },
     }
