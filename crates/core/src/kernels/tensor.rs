@@ -129,6 +129,11 @@ impl TensorSpmm {
         b.dram.transactions += coalesced_transactions(a_bytes, dev.transaction_bytes);
         b.dram.bytes_loaded += a_bytes;
         b.shared.stores += (nnz as u64).div_ceil(dev.warp_size as u64);
+        if dim_chunks == 0 {
+            // A zero-width X: no fragment to stage, no WMMA to issue and no
+            // result to store.
+            return b;
+        }
 
         // -- X fragments: per (tile, dim chunk) a tile_k×16 block of X is
         // staged. Each of its tile_k rows is a contiguous strip (64 bytes at
@@ -310,9 +315,10 @@ impl TensorSpmm {
         };
         let mut extra_left = extra_gathers;
         let frag_read_words = ((frag_bytes / 4) as u32).clamp(1, x_words);
-        if pipelined {
+        if pipelined && fragments > 0 {
             // Fragment 0 is the only synchronous stage: demand strip loads
-            // stored into buffer 0 behind a barrier.
+            // stored into buffer 0 behind a barrier. A zero-width X has no
+            // fragment 0.
             for _ in 0..frag_rows {
                 push(sink, WarpOp::Global { bytes: 64 });
             }

@@ -104,7 +104,7 @@ pub enum OverloadReason {
 }
 
 impl OverloadReason {
-    /// Stable lower-case label (used in reports and BENCH.json).
+    /// Stable lower-case label: `queue-full` or `tenant-quota`.
     pub fn name(self) -> &'static str {
         match self {
             OverloadReason::QueueFull => "queue-full",

@@ -415,14 +415,17 @@ fn batch_grain(n: usize, work: u64, nthreads: usize) -> usize {
     by_cost.clamp(1, balance_cap)
 }
 
-/// Run `f(i, item)` for every `(i, item)`, distributing items over the
-/// pool. Items are claimed in deterministic index batches; `f` must not
-/// rely on cross-item execution order (it cannot observe one anyway
-/// without interior mutability).
-fn run_indexed<I, F>(items: Vec<(usize, I)>, work: u64, f: &F)
+/// Run `f(state, i, item)` for every `(i, item)`, distributing items over
+/// the pool. Items are claimed in deterministic index batches; `f` must
+/// not rely on cross-item execution order (it cannot observe one anyway
+/// without interior mutability). Each worker, or the calling thread when
+/// the region runs inline, builds one `state` with `init` and passes it to
+/// every item it claims.
+fn run_indexed<S, I, Init, F>(items: Vec<(usize, I)>, work: u64, init: &Init, f: &F)
 where
     I: Send,
-    F: Fn(usize, I) + Sync,
+    Init: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, I) + Sync,
 {
     let n = items.len();
     if n == 0 {
@@ -433,8 +436,9 @@ where
         if threads() > 1 && n > 1 {
             SERIAL_FALLBACKS.fetch_add(1, Ordering::Relaxed);
         }
+        let mut state = init();
         for (i, item) in items {
-            f(i, item);
+            f(&mut state, i, item);
         }
         return;
     }
@@ -443,16 +447,19 @@ where
     let queue = Mutex::named("pool-queue", items.into_iter());
     let result = sync::thread::scope(|scope| {
         for _ in 0..nthreads {
-            scope.spawn(|_| loop {
-                let batch: Vec<(usize, I)> = {
-                    let mut q = queue.lock();
-                    q.by_ref().take(grain).collect()
-                };
-                if batch.is_empty() {
-                    return;
-                }
-                for (i, item) in batch {
-                    f(i, item);
+            scope.spawn(|_| {
+                let mut state = init();
+                loop {
+                    let batch: Vec<(usize, I)> = {
+                        let mut q = queue.lock();
+                        q.by_ref().take(grain).collect()
+                    };
+                    if batch.is_empty() {
+                        return;
+                    }
+                    for (i, item) in batch {
+                        f(&mut state, i, item);
+                    }
                 }
             });
         }
@@ -473,6 +480,21 @@ where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
+    chunks_with_state(data, chunk_size, work, &|| (), &|_, i, chunk| f(i, chunk));
+}
+
+/// [`par_chunks_mut`] with per-worker state (see [`par_map_indexed_init`]).
+fn chunks_with_state<T, S, Init, F>(
+    data: &mut [T],
+    chunk_size: usize,
+    work: u64,
+    init: &Init,
+    f: &F,
+) where
+    T: Send,
+    Init: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, &mut [T]) + Sync,
+{
     assert!(chunk_size > 0, "chunk_size must be positive");
     if data.is_empty() {
         return;
@@ -483,13 +505,14 @@ where
         if threads() > 1 && data.len() > chunk_size {
             SERIAL_FALLBACKS.fetch_add(1, Ordering::Relaxed);
         }
+        let mut state = init();
         for (i, chunk) in data.chunks_mut(chunk_size).enumerate() {
-            f(i, chunk);
+            f(&mut state, i, chunk);
         }
         return;
     }
     let chunks: Vec<(usize, &mut [T])> = data.chunks_mut(chunk_size).enumerate().collect();
-    run_indexed(chunks, work, &f);
+    run_indexed(chunks, work, init, f);
 }
 
 /// Deterministic parallel map over an index range: returns
@@ -505,17 +528,33 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
+    par_map_indexed_init(n, work, || (), |_, i| f(i))
+}
+
+/// [`par_map_indexed`] with per-worker scratch: every worker, or the
+/// calling thread when the region runs inline, builds one `state` with
+/// `init` and hands it to each `f(state, i)` it computes, so a buffer is
+/// allocated once per worker instead of once per item. Slot `i` must
+/// depend on `i` alone, never on what earlier items left in `state`;
+/// then the output is `(0..n).map(f)` at any thread count, as for
+/// [`par_map_indexed`].
+pub fn par_map_indexed_init<S, R, Init, F>(n: usize, work: u64, init: Init, f: F) -> Vec<R>
+where
+    R: Send,
+    Init: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) -> R + Sync,
+{
     let mut out: Vec<MaybeUninit<R>> = Vec::with_capacity(n);
     // SAFETY: `MaybeUninit<R>` requires no initialization, so extending
     // the length over freshly reserved capacity is sound.
     unsafe { out.set_len(n) };
-    par_chunks_mut(&mut out, 1, work, |i, slot| {
-        slot[0].write(f(i));
+    chunks_with_state(&mut out, 1, work, &init, &|state, i, slot| {
+        slot[0].write(f(state, i));
     });
     let mut out = ManuallyDrop::new(out);
     let (ptr, len, cap) = (out.as_mut_ptr(), out.len(), out.capacity());
     // SAFETY: every slot `0..n` was written exactly once above
-    // (`par_chunks_mut` visits each chunk exactly once and a write-only
+    // (`chunks_with_state` visits each chunk exactly once and a write-only
     // panic would have propagated before reaching here), so the buffer is
     // fully initialized `R`s; `MaybeUninit<R>` has `R`'s layout, and
     // `ManuallyDrop` ensures exactly one owner of the allocation.
@@ -597,6 +636,47 @@ mod tests {
             }
         });
         assert!(data.iter().enumerate().all(|(i, &v)| v == i as u32 + 1));
+        set_threads(saved);
+    }
+
+    #[test]
+    fn init_state_is_built_once_per_worker() {
+        let _guard = OVERRIDE_LOCK.lock();
+        let saved = thread_override();
+        for (mode, t) in [
+            (ParallelMode::Never, 4),
+            (ParallelMode::Force, 1),
+            (ParallelMode::Force, 2),
+            (ParallelMode::Force, 8),
+        ] {
+            set_parallel_mode(mode);
+            set_threads(t);
+            let inits = AtomicUsize::new_untracked(0);
+            // The state is scratch a slot must not depend on: each item
+            // clears it before use.
+            let got = par_map_indexed_init(
+                1000,
+                BIG,
+                || {
+                    inits.fetch_add(1, Ordering::Relaxed);
+                    Vec::new()
+                },
+                |buf: &mut Vec<usize>, i| {
+                    buf.clear();
+                    buf.extend(0..i % 7);
+                    i * 10 + buf.len()
+                },
+            );
+            let want: Vec<usize> = (0..1000).map(|i| i * 10 + i % 7).collect();
+            assert_eq!(got, want, "{mode:?} at {t} threads");
+            let built = inits.load(Ordering::Relaxed);
+            let workers = if mode == ParallelMode::Never { 1 } else { t };
+            assert!(
+                (1..=workers).contains(&built),
+                "{mode:?} at {t} threads built {built} states"
+            );
+        }
+        set_parallel_mode(ParallelMode::Auto);
         set_threads(saved);
     }
 

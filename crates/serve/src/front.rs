@@ -419,6 +419,20 @@ struct CohortJob<'t> {
     members: Vec<(usize, &'t FrontRequest)>,
 }
 
+/// Closes the cohort channel when a worker unwinds. Without it, once every
+/// worker has panicked the scheduler blocks forever in `send` on a full
+/// queue that nobody drains; with it, `send` fails, the scheduler stops
+/// dispatching, and the scope join reports the panic.
+struct CloseOnPanic<'c, T>(&'c Bounded<T>);
+
+impl<T> Drop for CloseOnPanic<'_, T> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.close();
+        }
+    }
+}
+
 /// One member's execution record, produced on a worker.
 struct MemberOut {
     trace_index: usize,
@@ -776,6 +790,7 @@ impl Front {
                     let (chan, done, dev) = (&chan, &done, &dev);
                     for _ in 0..n_workers {
                         s.spawn(move |_| {
+                            let _close = CloseOnPanic(chan);
                             while let Some(job) = chan.recv() {
                                 let mut outs = Vec::with_capacity(job.members.len());
                                 let mut poisoned = false;

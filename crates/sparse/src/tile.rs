@@ -128,6 +128,25 @@ impl fmt::Display for TileCodecError {
 
 impl std::error::Error for TileCodecError {}
 
+/// Bytes `v` takes as a LEB128 varint.
+fn varint_len(v: u32) -> usize {
+    (32 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// The column stream's values for the strictly increasing `cols`: the
+/// first column verbatim, then `gap − 1` per successor.
+fn col_gaps(cols: impl Iterator<Item = u32>) -> impl Iterator<Item = u32> {
+    cols.scan(None, |prev: &mut Option<u32>, c| {
+        Some(match prev.replace(c) {
+            None => c,
+            Some(p) => {
+                debug_assert!(c > p, "unique_cols must be strictly increasing");
+                c - p - 1
+            }
+        })
+    })
+}
+
 /// Append `v` as a LEB128 varint.
 fn push_varint(out: &mut Vec<u8>, mut v: u32) {
     while v >= 0x80 {
@@ -164,12 +183,25 @@ impl TileMeta {
     where
         I: IntoIterator<Item = (usize, usize)>,
     {
+        TileMeta::encode_from(rows, unique_cols.iter().copied(), entries)
+    }
+
+    /// [`TileMeta::encode`] from any re-walkable iterator of the sorted
+    /// distinct columns. Walking the columns once for their varint sizes
+    /// first lets each of the two buffers be allocated once, at its exact
+    /// length.
+    pub(crate) fn encode_from<C, I>(rows: usize, unique_cols: C, entries: I) -> TileMeta
+    where
+        C: ExactSizeIterator<Item = u32> + Clone,
+        I: IntoIterator<Item = (usize, usize)>,
+    {
+        let nnz_cols = unique_cols.len();
         let row_groups = rows.div_ceil(GROUP_ROWS);
-        let tiles = unique_cols.len().div_ceil(TILE_COLS);
+        let tiles = nnz_cols.div_ceil(TILE_COLS);
         let mut bitmaps = vec![0u128; tiles * row_groups];
         let mut nnz = 0u32;
         for (local_row, cond) in entries {
-            debug_assert!(local_row < rows && cond < unique_cols.len());
+            debug_assert!(local_row < rows && cond < nnz_cols);
             let idx = (cond / TILE_COLS) * row_groups + local_row / GROUP_ROWS;
             let bit = (local_row % GROUP_ROWS) * TILE_COLS + cond % TILE_COLS;
             debug_assert!(bitmaps[idx] & (1u128 << bit) == 0, "duplicate CSR entry");
@@ -177,23 +209,16 @@ impl TileMeta {
             nnz += 1;
         }
 
-        let mut col_stream = Vec::new();
-        let mut prev: Option<u32> = None;
-        for &c in unique_cols {
-            match prev {
-                None => push_varint(&mut col_stream, c),
-                Some(p) => {
-                    debug_assert!(c > p, "unique_cols must be strictly increasing");
-                    push_varint(&mut col_stream, c - p - 1);
-                }
-            }
-            prev = Some(c);
+        let len = col_gaps(unique_cols.clone()).map(varint_len).sum();
+        let mut col_stream = Vec::with_capacity(len);
+        for gap in col_gaps(unique_cols) {
+            push_varint(&mut col_stream, gap);
         }
 
         TileMeta {
             rows: rows as u32,
             nnz,
-            nnz_cols: unique_cols.len() as u32,
+            nnz_cols: nnz_cols as u32,
             col_stream,
             bitmaps,
         }
@@ -475,6 +500,35 @@ mod tests {
             TileMeta::from_parts(2, 3, 3, cs.to_vec(), bad),
             Err(TileCodecError::BitOutOfRange { bitmap: 0 })
         ));
+    }
+
+    #[test]
+    fn varint_len_matches_the_encoder() {
+        for v in [
+            0,
+            1,
+            0x7f,
+            0x80,
+            0x3fff,
+            0x4000,
+            0x1f_ffff,
+            0x20_0000,
+            0xfff_ffff,
+            0x1000_0000,
+            u32::MAX,
+        ] {
+            let mut out = Vec::new();
+            push_varint(&mut out, v);
+            assert_eq!(varint_len(v), out.len(), "{v:#x}");
+        }
+    }
+
+    #[test]
+    fn buffers_are_allocated_at_their_exact_length() {
+        let m = TileMeta::encode(2, &[3, 130, 131, 100_000], [(0, 0), (0, 3), (1, 1)]);
+        assert_eq!(m.col_stream.capacity(), m.col_stream.len());
+        assert_eq!(m.bitmaps.capacity(), m.bitmaps.len());
+        assert_eq!(m.decode_cols(), vec![3, 130, 131, 100_000]);
     }
 
     #[test]

@@ -6,6 +6,21 @@
 //! `ceil(nnz_cols / 8)` 16×8 tiles while CUDA cores read the original CSR
 //! entries directly. Both views of a window describe the same values, so no
 //! result merging is needed.
+//!
+//! ## Construction
+//!
+//! Condensing a window makes one pass over its entries. Each column id goes
+//! through an open-addressing set that numbers the window's distinct
+//! columns in first-seen order (a *slot*), and the entry records its slot.
+//! Only the distinct columns are then sorted; the sort turns each slot into
+//! its condensed index, and each entry finds its index by two array lookups,
+//! with no search. [`TileMeta`]'s encoder receives the sorted columns and
+//! the `(row, condensed index)` bits and allocates the bitmaps and the
+//! column stream once each, at their exact sizes. Those two buffers are the
+//! only allocations a non-empty window makes: the set and the per-entry
+//! arrays are scratch that one worker reuses for every window it condenses.
+//! The scratch is sized by the largest window's entries, never by the
+//! matrix's column count, and is dropped when the build returns.
 
 use serde::{Deserialize, Serialize};
 
@@ -85,34 +100,109 @@ impl RowWindow {
     /// Condense the window covering rows `[start, start + rows)` of `a`.
     /// This is the single source of truth for window construction: the
     /// full partition build and the dynamic-graph patch path (which
-    /// re-condenses only windows whose rows a delta touched) both call it,
-    /// so a patched window is bit-identical to a freshly built one.
+    /// re-condenses only windows whose rows a delta touched) both condense
+    /// through the same code (see the module docs), so a patched window is
+    /// bit-identical to a freshly built one. A call condenses one window
+    /// with scratch of its own; [`RowWindowPartition::build_with_rows`]
+    /// reuses one scratch across all the windows a worker condenses.
     pub fn build(a: &Csr, start: usize, rows: usize) -> RowWindow {
+        Condenser::default().window(a, start, rows)
+    }
+}
+
+/// An empty cell of [`Condenser::table`]. A live cell holds
+/// `col << 32 | slot` with `slot < u32::MAX` (a window holds fewer entries
+/// than that), so no live cell equals it.
+const EMPTY: u64 = u64::MAX;
+
+/// Scratch for condensing row windows (see the module docs), reused across
+/// the windows one worker condenses. Every buffer is sized by one window's
+/// entries, never by the matrix's column count.
+#[derive(Default)]
+struct Condenser {
+    /// Open-addressing set of the window's distinct columns, at load at
+    /// most ½: each cell is [`EMPTY`] or `col << 32 | slot`, where `slot`
+    /// numbers the distinct columns in first-seen order.
+    table: Vec<u64>,
+    /// The slot of each entry's column, in CSR entry order.
+    entry_slot: Vec<u32>,
+    /// The distinct columns as `col << 32 | slot`; sorted, they run in
+    /// column order.
+    distinct: Vec<u64>,
+    /// The condensed index of each slot.
+    cond_of_slot: Vec<u32>,
+}
+
+impl Condenser {
+    /// Condense rows `[start, start + rows)` of `a`.
+    fn window(&mut self, a: &Csr, start: usize, rows: usize) -> RowWindow {
         let lo = a.row_ptr[start] as usize;
         let hi = a.row_ptr[start + rows] as usize;
+        self.number_distinct(&a.col_idx[lo..hi]);
 
-        // Distinct sorted columns of the window.
-        let mut unique_cols = a.col_idx[lo..hi].to_vec();
-        unique_cols.sort_unstable();
-        unique_cols.dedup();
+        // Sorting the distinct columns ranks each slot.
+        self.distinct.sort_unstable();
+        self.cond_of_slot.clear();
+        self.cond_of_slot.resize(self.distinct.len(), 0);
+        for (cond, &cell) in self.distinct.iter().enumerate() {
+            self.cond_of_slot[cell as u32 as usize] = cond as u32;
+        }
 
-        // Compress directly: one set bit per entry at (local row, condensed
-        // column via binary search) — no dense cond_idx staging vector.
+        let (entry_slot, cond_of_slot) = (&self.entry_slot, &self.cond_of_slot);
         let entries = (0..rows).flat_map(|r| {
-            let rlo = a.row_ptr[start + r] as usize;
-            let rhi = a.row_ptr[start + r + 1] as usize;
-            let cols = &unique_cols;
-            a.col_idx[rlo..rhi]
+            let rlo = a.row_ptr[start + r] as usize - lo;
+            let rhi = a.row_ptr[start + r + 1] as usize - lo;
+            entry_slot[rlo..rhi]
                 .iter()
-                .map(move |c| (r, cols.binary_search(c).expect("col present")))
+                .map(move |&slot| (r, cond_of_slot[slot as usize] as usize))
         });
-        let meta = TileMeta::encode(rows, &unique_cols, entries);
-
+        let unique_cols = self.distinct.iter().map(|&cell| (cell >> 32) as u32);
         RowWindow {
             start_row: start,
             rows,
             nnz: hi - lo,
-            meta,
+            meta: TileMeta::encode_from(rows, unique_cols, entries),
+        }
+    }
+
+    /// Fill `entry_slot` and `distinct` (unsorted) for one window's
+    /// column ids.
+    fn number_distinct(&mut self, cols: &[u32]) {
+        self.entry_slot.clear();
+        self.distinct.clear();
+        if cols.is_empty() {
+            return;
+        }
+        self.entry_slot.reserve(cols.len());
+        self.distinct.reserve(cols.len());
+        // Only the prefix this window needs is cleared, so a large window
+        // early in the build does not make every later window pay for it.
+        let cap = (2 * cols.len()).next_power_of_two();
+        if self.table.len() < cap {
+            self.table.resize(cap, EMPTY);
+        }
+        let table = &mut self.table[..cap];
+        table.fill(EMPTY);
+        let shift = 64 - cap.trailing_zeros();
+        for &c in cols {
+            // Fibonacci hashing: the product's top bits pick the cell.
+            let mut h = (u64::from(c).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> shift) as usize;
+            loop {
+                let cell = table[h];
+                if cell == EMPTY {
+                    let slot = self.distinct.len() as u32;
+                    let cell = u64::from(c) << 32 | u64::from(slot);
+                    table[h] = cell;
+                    self.distinct.push(cell);
+                    self.entry_slot.push(slot);
+                    break;
+                }
+                if (cell >> 32) as u32 == c {
+                    self.entry_slot.push(cell as u32);
+                    break;
+                }
+                h = (h + 1) & (cap - 1);
+            }
         }
     }
 }
@@ -134,22 +224,23 @@ impl RowWindowPartition {
 
     /// Partition with a custom window height (characterization experiments
     /// use 16×32 synthetic windows). Windows are independent, so large
-    /// matrices are condensed on the `hc-parallel` pool; the output is
-    /// deterministic regardless of thread count (window `w` is always
-    /// built from rows `[w·h, (w+1)·h)` with the same serial logic).
+    /// matrices are condensed on the `hc-parallel` pool, each worker with
+    /// one scratch for all its windows; the output is deterministic
+    /// regardless of thread count (window `w` is always built from rows
+    /// `[w·h, (w+1)·h)` with the same serial logic, and no window reads
+    /// what an earlier one left in the scratch).
     pub fn build_with_rows(a: &Csr, window_rows: usize) -> Self {
         assert!(window_rows > 0);
         let n_windows = a.nrows.div_ceil(window_rows);
 
-        let build_one = |w: usize| -> RowWindow {
-            let start = w * window_rows;
-            RowWindow::build(a, start, window_rows.min(a.nrows - start))
-        };
-
-        // Work hint: each entry is sorted (~log factor folded into the
-        // constant) and binary-searched once.
+        // Work hint: each entry is hashed once and looked up once; the
+        // sort of the distinct columns folds into the constant.
         let work = 2 * a.nnz() as u64 + n_windows as u64;
-        let windows = hc_parallel::par_map_indexed(n_windows, work, build_one);
+        let windows =
+            hc_parallel::par_map_indexed_init(n_windows, work, Condenser::default, |c, w| {
+                let start = w * window_rows;
+                c.window(a, start, window_rows.min(a.nrows - start))
+            });
 
         RowWindowPartition {
             windows,
