@@ -467,13 +467,14 @@ pub struct ServingLoadMetrics {
 /// Serving-load: a multi-tenant request mix through the cohorting
 /// [`Front`] vs. the same admitted mix through the uncohorted in-order
 /// [`BatchDriver`], both under a cache budget one byte short of the
-/// structure working set. The cyclic structure mix then thrashes the
-/// LRU — the victim is always the next structure needed — so the
-/// uncohorted control pays a full preparation per request, while the
-/// front pays one preparation per cohort and amortizes it across every
-/// member (the fleet-level version of Appendix F's ≈13× amortization
-/// argument). The printed body carries only deterministic counters and
-/// simulated times.
+/// structure working set, so one plan is always out. The structures
+/// arrive in a cycle, recency eviction's worst case; the cost-aware
+/// cache keeps the plans costliest to rebuild per byte, so each side
+/// re-prepares the cheaper structures on their return. The uncohorted
+/// control pays that preparation on every miss, while the front pays at
+/// most one per cohort and amortizes it across every member (the
+/// fleet-level version of Appendix F's ≈13× amortization argument). The
+/// printed body carries only deterministic counters and simulated times.
 pub fn serving_load(cache: &mut DatasetCache, dev: &DeviceSpec) -> (String, ServingLoadMetrics) {
     use hc_core::Plan;
     use hc_serve::{Front, FrontConfig, FrontRequest, TenantId};
@@ -486,9 +487,9 @@ pub fn serving_load(cache: &mut DatasetCache, dev: &DeviceSpec) -> (String, Serv
         .collect();
 
     // One cold preparation per structure pins the budget and the SLO
-    // deterministically: budget = working set − 1 byte (cyclic-scan LRU
-    // thrash), SLO = 130 % of the costliest preparation (members queued
-    // deep behind a cold prepare blow it).
+    // deterministically: budget = working set − 1 byte (one plan is
+    // always out), SLO = 130 % of the costliest preparation (members
+    // queued deep behind a cold prepare blow it).
     let plans: Vec<Plan> = graphs
         .iter()
         .map(|g| Plan::prepare(g, PlanSpec::hybrid(), dev))
@@ -520,7 +521,7 @@ pub fn serving_load(cache: &mut DatasetCache, dev: &DeviceSpec) -> (String, Serv
     let front = Front::new(
         budget,
         PlanSpec::hybrid(),
-        1, // one lane: the budget math must match the control's single LRU
+        1, // one lane: the budget math must match the control's single cache
         FrontConfig {
             workers: 4, // fixed: the printed body must not depend on --threads
             queue_depth: 14,
@@ -575,6 +576,7 @@ pub fn serving_load(cache: &mut DatasetCache, dev: &DeviceSpec) -> (String, Serv
     }
 
     let c = rep.counters;
+    let front_cache = rep.cache;
     let m = ServingLoadMetrics {
         submitted: c.submitted,
         admitted: c.admitted,
@@ -591,8 +593,9 @@ pub fn serving_load(cache: &mut DatasetCache, dev: &DeviceSpec) -> (String, Serv
     };
     let text = format!(
         "Serving load (extension): {} arrivals / {} admitted ({} quota-shed, \
-         {} queue-shed) over {} structures under a thrash-tight cache — \
-         {} cohorts, cohort rate {:.3}; amortized {} ms/req cohorted vs \
+         {} queue-shed) over {} structures under a cache one plan short of \
+         the working set — {} cohorts, cohort rate {:.3}; front cache {} \
+         hits / {} misses / {} evictions; amortized {} ms/req cohorted vs \
          {} ms/req uncohorted; latency p50 {} / p99 {} ms (sim, SLO {} ms); \
          outputs bit-exact to uncohorted control: {}\n{}",
         m.submitted,
@@ -602,6 +605,9 @@ pub fn serving_load(cache: &mut DatasetCache, dev: &DeviceSpec) -> (String, Serv
         ids.len(),
         m.cohorts,
         m.cohort_rate,
+        front_cache.hits,
+        front_cache.misses,
+        front_cache.evictions,
         f3(m.amortized_sim_ms),
         f3(m.uncohorted_sim_ms),
         f3(m.p50_sim_ms),

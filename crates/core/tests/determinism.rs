@@ -60,8 +60,8 @@ fn kernel_outputs_bit_identical_across_thread_counts() {
     // The batched serving driver inherits the same guarantee: a request
     // stream served through the plan cache yields bit-identical outputs,
     // hit flags and cache counters at any worker count. Eviction pressure
-    // included — a tight budget exercises LRU victim selection, which must
-    // also be thread-count-independent.
+    // included — a tight budget exercises eviction victim selection, which
+    // must also be thread-count-independent.
     let serve_graphs: Vec<Arc<Csr>> = vec![
         Arc::new(gen::erdos_renyi(512, 3_000, 21)),
         Arc::new(gen::community(512, 4_000, 16, 0.9, 22)),

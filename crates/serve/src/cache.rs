@@ -1,13 +1,43 @@
-//! Byte-budgeted LRU cache of prepared execution plans.
+//! Byte-budgeted plan cache with cost-aware eviction
+//! (GreedyDual-Size-Frequency).
 //!
 //! Keys are structure fingerprints, so any two graphs with identical CSR
 //! structure — regardless of values — share one plan. The budget charges
 //! each plan its [`Plan::approx_bytes`]; inserting past the budget evicts
-//! least-recently-used plans until the newcomer fits. A plan larger than
+//! the lowest-priority plans until the newcomer fits. A plan larger than
 //! the whole budget is prepared and returned but never retained (the
 //! `rejected` counter), which also makes a zero-byte budget an exact model
 //! of "caching disabled": every request misses, every result stays
 //! correct.
+//!
+//! ## Eviction: GreedyDual-Size-Frequency
+//!
+//! Preprocessing costs ≈13× one SpMM (the paper's Appendix F) and pays
+//! only when a plan is reused, so the cache keeps the plans that are
+//! costly to rebuild per byte and often reused (Cherkasova, 1998). Each
+//! entry carries
+//!
+//! * `cost_ms` — what a miss would pay to rebuild the plan: the
+//!   simulated prepare time of a freshly prepared plan. A patched plan
+//!   inherits its lineage's (see
+//!   [`SharedPlanCache::swap_patched`](crate::SharedPlanCache::swap_patched)):
+//!   its own prepare bill covers only the dirty windows;
+//! * `hits` — 1 at admission, one more per hit;
+//! * `priority = L + hits × cost_ms / bytes`, recomputed at admission
+//!   and at every hit.
+//!
+//! `L` is the cache's inflation clock. It starts at 0 and rises to each
+//! victim's priority, so plans admitted or hit later outrank plans whose
+//! frequency was earned long ago. The victim is the lowest priority;
+//! ties go to the oldest use stamp. Every touch and every admission takes
+//! its own clock tick, so stamps are unique and the eviction sequence is
+//! deterministic despite `HashMap`'s arbitrary iteration order. Retiring
+//! a superseded plan ([`PlanCache::remove`]) and quarantine do not move
+//! `L`.
+//!
+//! [`PlanCache::state`] exports `L` and each entry's policy state in
+//! recency order; the durability layer persists it, and restoring it
+//! ([`PlanCache::restore_entry`]) reproduces every later eviction.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -57,16 +87,59 @@ impl CacheStats {
     }
 }
 
+/// One resident plan's eviction state, as the durability layer persists
+/// it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ResidentEntry {
+    /// The plan's structure fingerprint.
+    pub fp: StructureFingerprint,
+    /// 1 at admission, one more per hit; a patched plan continues the
+    /// count of the plan it superseded.
+    pub hits: u64,
+    /// Simulated ms a miss would pay to rebuild the plan.
+    pub cost_ms: f64,
+    /// `L + hits × cost_ms / bytes`, with `L` as of the entry's last
+    /// admission or hit.
+    pub priority: f64,
+}
+
+/// A cache's recoverable eviction state: the inflation clock and every
+/// resident entry, in recency order.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ShardState {
+    /// The inflation clock `L`: the priority of the last plan evicted (0
+    /// before the first eviction).
+    pub inflation: f64,
+    /// Resident entries, least recently used first.
+    pub resident: Vec<ResidentEntry>,
+}
+
+impl ShardState {
+    /// The resident fingerprints, least recently used first.
+    pub fn fingerprints(&self) -> Vec<StructureFingerprint> {
+        self.resident.iter().map(|e| e.fp).collect()
+    }
+}
+
+/// GDSF priority: `inflation + hits × cost_ms / bytes`.
+fn priority(inflation: f64, hits: u64, cost_ms: f64, bytes: u64) -> f64 {
+    inflation + hits as f64 * cost_ms / bytes.max(1) as f64
+}
+
 struct Entry {
     plan: Arc<Plan>,
     bytes: u64,
+    /// Clock tick of the last touch or admission; unique per entry.
     last_used: u64,
+    hits: u64,
+    cost_ms: f64,
+    priority: f64,
     /// A mutation superseded this plan's structure; it keeps serving
     /// (flagged) until the patched replacement is swapped in.
     stale: bool,
 }
 
-/// Structure-keyed LRU plan cache. One cache serves one [`PlanSpec`] —
+/// Structure-keyed GDSF plan cache. One cache serves one [`PlanSpec`] —
 /// fixing the spec at construction keeps every cached plan executable
 /// interchangeably (a fingerprint hit could otherwise return a plan
 /// prepared for a different kernel family).
@@ -77,6 +150,8 @@ pub struct PlanCache {
     quarantined: HashSet<StructureFingerprint>,
     bytes: u64,
     clock: u64,
+    /// GDSF inflation clock `L`.
+    inflation: f64,
     stats: CacheStats,
 }
 
@@ -90,8 +165,15 @@ impl PlanCache {
             quarantined: HashSet::new(),
             bytes: 0,
             clock: 0,
+            inflation: 0.0,
             stats: CacheStats::default(),
         }
+    }
+
+    /// Advance the use clock and return the new stamp.
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
     }
 
     /// Look up the plan for `a`'s structure, preparing (and, budget
@@ -114,19 +196,22 @@ impl PlanCache {
         (self.admit(fp, plan), false)
     }
 
-    /// Record a lookup: on a hit, refresh the LRU stamp and return the
-    /// resident plan plus its staleness flag; on a miss, count it and
-    /// return `None` — the caller prepares the plan (outside any lock, in
-    /// the sharded cache) and offers it back via
-    /// [`admit`](PlanCache::admit). Split out of
-    /// [`get_or_prepare`](PlanCache::get_or_prepare) so
+    /// Record a lookup: on a hit, count it in the entry's `hits`, raise
+    /// its priority, refresh its use stamp, and return the resident plan
+    /// plus its staleness flag; on a miss, count it and return `None` —
+    /// the caller prepares the plan (outside any lock, in the sharded
+    /// cache) and offers it back via [`admit`](PlanCache::admit). Split
+    /// out of [`get_or_prepare`](PlanCache::get_or_prepare) so
     /// [`SharedPlanCache`](crate::SharedPlanCache) never holds a shard
     /// lock across `Plan::prepare`.
     pub fn touch(&mut self, fp: StructureFingerprint) -> Option<(Arc<Plan>, bool)> {
         self.stats.requests += 1;
-        self.clock += 1;
+        let tick = self.tick();
+        let inflation = self.inflation;
         if let Some(e) = self.entries.get_mut(&fp) {
-            e.last_used = self.clock;
+            e.last_used = tick;
+            e.hits += 1;
+            e.priority = priority(inflation, e.hits, e.cost_ms, e.bytes);
             self.stats.hits += 1;
             if e.stale {
                 self.stats.stale_hits += 1;
@@ -137,11 +222,22 @@ impl PlanCache {
         None
     }
 
-    /// The resident plan for `fp`, without counting a request or bumping
-    /// the LRU stamp. The patch path uses this to fetch the superseded
-    /// plan as patch base without perturbing eviction order.
+    /// The resident plan for `fp`, without counting a request or touching
+    /// its eviction state. The patch path uses this to fetch the
+    /// superseded plan as patch base.
     pub fn peek(&self, fp: StructureFingerprint) -> Option<Arc<Plan>> {
         self.entries.get(&fp).map(|e| Arc::clone(&e.plan))
+    }
+
+    /// The eviction state of the resident plan for `fp`, without counting
+    /// a request or touching it.
+    pub fn entry(&self, fp: StructureFingerprint) -> Option<ResidentEntry> {
+        self.entries.get(&fp).map(|e| ResidentEntry {
+            fp,
+            hits: e.hits,
+            cost_ms: e.cost_ms,
+            priority: e.priority,
+        })
     }
 
     /// Flag the resident plan for `fp` stale: a mutation superseded its
@@ -158,8 +254,8 @@ impl PlanCache {
     }
 
     /// Remove the entry for `fp` (the swap path retires the superseded
-    /// plan this way; not counted as an eviction). Returns whether a plan
-    /// was resident.
+    /// plan this way; not counted as an eviction, and `L` stays). Returns
+    /// whether a plan was resident.
     pub fn remove(&mut self, fp: StructureFingerprint) -> bool {
         if let Some(e) = self.entries.remove(&fp) {
             self.bytes -= e.bytes;
@@ -182,15 +278,41 @@ impl PlanCache {
     }
 
     /// Offer a freshly prepared plan for residency after a
-    /// [`touch`](PlanCache::touch) miss. First insert wins: if a
+    /// [`touch`](PlanCache::touch) miss: `hits` starts at 1 and `cost_ms`
+    /// at the plan's simulated prepare time. First insert wins: if a
     /// concurrent racer already admitted a plan for `fp`, the resident
-    /// plan is returned (so every caller serves the same `Arc`) and the
-    /// offered one is dropped. Oversized plans are counted `rejected` and
-    /// returned unretained; otherwise LRU entries are evicted until the
-    /// newcomer fits.
+    /// plan's use stamp is refreshed and it is returned (so every caller
+    /// serves the same `Arc`); the offered one is dropped. Oversized
+    /// plans are counted `rejected` and returned unretained; otherwise
+    /// the lowest-priority entries are evicted until the newcomer fits.
     pub fn admit(&mut self, fp: StructureFingerprint, plan: Arc<Plan>) -> Arc<Plan> {
+        let cost_ms = plan.sim_prepare_ms();
+        self.admit_with(fp, plan, 1, cost_ms)
+    }
+
+    /// [`admit`](PlanCache::admit) for a patched plan: it continues the
+    /// `hits` and `cost_ms` of `lineage`, the entry it supersedes. The
+    /// patched plan's own `sim_prepare_ms` bills only the dirty windows,
+    /// not what a miss would pay.
+    pub fn admit_patched(
+        &mut self,
+        fp: StructureFingerprint,
+        plan: Arc<Plan>,
+        lineage: &ResidentEntry,
+    ) -> Arc<Plan> {
+        self.admit_with(fp, plan, lineage.hits, lineage.cost_ms)
+    }
+
+    fn admit_with(
+        &mut self,
+        fp: StructureFingerprint,
+        plan: Arc<Plan>,
+        hits: u64,
+        cost_ms: f64,
+    ) -> Arc<Plan> {
+        let tick = self.tick();
         if let Some(e) = self.entries.get_mut(&fp) {
-            e.last_used = self.clock;
+            e.last_used = tick;
             return Arc::clone(&e.plan);
         }
         let bytes = plan.approx_bytes();
@@ -199,7 +321,7 @@ impl PlanCache {
             return plan;
         }
         while self.bytes + bytes > self.budget {
-            self.evict_lru();
+            self.evict();
         }
         self.bytes += bytes;
         self.entries.insert(
@@ -207,22 +329,29 @@ impl PlanCache {
             Entry {
                 plan: Arc::clone(&plan),
                 bytes,
-                last_used: self.clock,
+                last_used: tick,
+                hits,
+                cost_ms,
+                priority: priority(self.inflation, hits, cost_ms, bytes),
                 stale: false,
             },
         );
         plan
     }
 
-    /// Drop the least-recently-used entry. `last_used` stamps are unique
-    /// (one clock tick per request), so the victim — and therefore the
-    /// whole eviction sequence — is deterministic despite `HashMap`'s
-    /// arbitrary iteration order.
-    fn evict_lru(&mut self) {
+    /// Drop the lowest-priority entry (ties to the oldest stamp) and
+    /// raise `L` to its priority. Stamps are unique, so the victim — and
+    /// therefore the whole eviction sequence — is deterministic despite
+    /// `HashMap`'s arbitrary iteration order.
+    fn evict(&mut self) {
         let victim = self
             .entries
             .iter()
-            .min_by_key(|(_, e)| e.last_used)
+            .min_by(|(_, a), (_, b)| {
+                a.priority
+                    .total_cmp(&b.priority)
+                    .then(a.last_used.cmp(&b.last_used))
+            })
             .map(|(fp, _)| *fp)
             .expect("eviction requested on an empty cache");
         let e = self
@@ -230,21 +359,18 @@ impl PlanCache {
             .remove(&victim)
             .expect("victim key came from this map");
         self.bytes -= e.bytes;
+        self.inflation = e.priority;
         self.stats.evictions += 1;
     }
 
     /// Quarantine a structure after its plan produced a fault: evict the
-    /// resident plan (if any) and permanently bar the fingerprint from
-    /// residency. Subsequent requests for the structure are served by
-    /// fresh ad-hoc plans that are never retained, so a poisoned plan can
-    /// never be re-served. Returns true if a plan was resident.
+    /// resident plan (if any; `L` stays) and permanently bar the
+    /// fingerprint from residency. Subsequent requests for the structure
+    /// are served by fresh ad-hoc plans that are never retained, so a
+    /// poisoned plan can never be re-served. Returns true if a plan was
+    /// resident.
     pub fn quarantine(&mut self, fp: StructureFingerprint) -> bool {
-        let evicted = if let Some(e) = self.entries.remove(&fp) {
-            self.bytes -= e.bytes;
-            true
-        } else {
-            false
-        };
+        let evicted = self.remove(fp);
         if self.quarantined.insert(fp) {
             self.stats.quarantined += 1;
         }
@@ -286,35 +412,69 @@ impl PlanCache {
         self.spec
     }
 
-    /// Whether a plan for this structure is resident (no LRU touch).
+    /// Whether a plan for this structure is resident (no touch).
     pub fn contains(&self, fp: StructureFingerprint) -> bool {
         self.entries.contains_key(&fp)
     }
 
-    /// Resident fingerprints in LRU order, oldest first. `last_used`
-    /// stamps are unique, so the order is total and deterministic — it is
-    /// the recoverable residency state the durability layer persists:
-    /// re-admitting plans in this order reproduces every future eviction
-    /// decision.
-    pub fn resident_lru(&self) -> Vec<StructureFingerprint> {
-        let mut v: Vec<(u64, StructureFingerprint)> = self
+    /// The recoverable eviction state: `L` plus every resident entry's
+    /// policy state, least recently used first. Stamps are unique, so the
+    /// order is total and deterministic. Restoring it — [`restore_entry`]
+    /// in this order and [`restore_inflation`] — reproduces every later
+    /// eviction decision.
+    ///
+    /// [`restore_entry`]: PlanCache::restore_entry
+    /// [`restore_inflation`]: PlanCache::restore_inflation
+    pub fn state(&self) -> ShardState {
+        let mut v: Vec<(u64, ResidentEntry)> = self
             .entries
             .iter()
-            .map(|(fp, e)| (e.last_used, *fp))
+            .map(|(&fp, e)| {
+                (
+                    e.last_used,
+                    ResidentEntry {
+                        fp,
+                        hits: e.hits,
+                        cost_ms: e.cost_ms,
+                        priority: e.priority,
+                    },
+                )
+            })
             .collect();
         v.sort_by_key(|&(t, _)| t);
-        v.into_iter().map(|(_, fp)| fp).collect()
+        ShardState {
+            inflation: self.inflation,
+            resident: v.into_iter().map(|(_, r)| r).collect(),
+        }
     }
 
-    /// Re-admit a deterministically rebuilt plan during recovery. The
-    /// entry takes the next clock stamp — callers insert in persisted
-    /// [`resident_lru`](PlanCache::resident_lru) order, which restores
-    /// the relative recency that eviction decisions depend on — and is
-    /// charged against the budget, but **no traffic is counted and
-    /// nothing is evicted**: restoring state is not traffic, and a
-    /// restored set was resident together before the crash so it fits by
-    /// construction (an oversized plan is dropped, as `admit` would).
+    /// Re-admit a deterministically rebuilt plan with fresh policy state
+    /// (`hits` 1, `cost_ms` its simulated prepare time). See
+    /// [`restore_entry`](PlanCache::restore_entry) for what restoring does
+    /// and does not count.
     pub fn restore_resident(&mut self, plan: Arc<Plan>) {
+        let cost_ms = plan.sim_prepare_ms();
+        let entry = ResidentEntry {
+            fp: plan.fingerprint,
+            hits: 1,
+            cost_ms,
+            priority: priority(self.inflation, 1, cost_ms, plan.approx_bytes()),
+        };
+        self.restore_entry(plan, &entry);
+    }
+
+    /// Re-admit a deterministically rebuilt plan during recovery with the
+    /// persisted `hits`, `cost_ms` and `priority` of `state`, never the
+    /// rebuilt plan's own prepare time: a plan rebuilt by patch replay
+    /// bills less than the prepare it stands for. The entry takes the
+    /// next clock stamp — callers insert in persisted
+    /// [`state`](PlanCache::state) order, which restores the relative
+    /// recency that ties depend on — and is charged against the budget,
+    /// but **no traffic is counted and nothing is evicted**: restoring
+    /// state is not traffic, and a restored set was resident together
+    /// before the crash so it fits by construction (a plan that does not
+    /// fit is dropped, as `admit` would).
+    pub fn restore_entry(&mut self, plan: Arc<Plan>, state: &ResidentEntry) {
         let fp = plan.fingerprint;
         if self.entries.contains_key(&fp) || self.quarantined.contains(&fp) {
             return;
@@ -323,17 +483,25 @@ impl PlanCache {
         if self.bytes + bytes > self.budget {
             return;
         }
-        self.clock += 1;
+        let tick = self.tick();
         self.bytes += bytes;
         self.entries.insert(
             fp,
             Entry {
                 plan,
                 bytes,
-                last_used: self.clock,
+                last_used: tick,
+                hits: state.hits,
+                cost_ms: state.cost_ms,
+                priority: state.priority,
                 stale: false,
             },
         );
+    }
+
+    /// Restore the persisted inflation clock `L` during recovery.
+    pub fn restore_inflation(&mut self, inflation: f64) {
+        self.inflation = inflation;
     }
 
     /// Restore a quarantine registration during recovery, without
@@ -418,33 +586,175 @@ mod tests {
         assert_eq!(cache.bytes_used(), bytes);
     }
 
+    /// A clone of `base` under fingerprint `id` with rebuild cost
+    /// `cost_ms`. Clones of one plan share a byte size, so their
+    /// priorities differ only by what a test sets.
+    fn fixture(base: &Plan, id: u64, cost_ms: f64) -> Arc<Plan> {
+        let mut p = base.clone();
+        p.fingerprint = fp(id);
+        p.pre.run.time_ms = cost_ms;
+        Arc::new(p)
+    }
+
+    fn fp(id: u64) -> StructureFingerprint {
+        StructureFingerprint { lo: id, hi: id }
+    }
+
+    fn base_plan() -> Plan {
+        Plan::prepare(&graphs()[0], PlanSpec::hybrid(), &DeviceSpec::rtx3090())
+    }
+
+    /// One lookup of fixture `id`: a hit, or a miss that admits it.
+    fn lookup(cache: &mut PlanCache, base: &Plan, id: u64, cost_ms: f64) -> bool {
+        if cache.touch(fp(id)).is_some() {
+            return true;
+        }
+        cache.admit(fp(id), fixture(base, id, cost_ms));
+        false
+    }
+
+    fn priority_of(cache: &PlanCache, id: u64) -> f64 {
+        cache.entry(fp(id)).expect("resident").priority
+    }
+
     #[test]
-    fn lru_evicts_in_exact_recency_order() {
-        let dev = DeviceSpec::rtx3090();
-        let gs = graphs();
-        let fps: Vec<StructureFingerprint> = gs.iter().map(StructureFingerprint::of).collect();
-        let bytes: Vec<u64> = gs
-            .iter()
-            .map(|g| Plan::prepare(g, PlanSpec::hybrid(), &dev).approx_bytes())
-            .collect();
-        // Budget holds exactly two of the three plans.
-        let budget = bytes[0] + bytes[1].max(bytes[2]);
-        let mut cache = PlanCache::new(budget, PlanSpec::hybrid());
+    fn gdsf_evicts_the_lowest_priority_and_raises_l_to_it() {
+        let base = base_plan();
+        let b = base.approx_bytes() as f64;
+        let mut cache = PlanCache::new(3 * base.approx_bytes(), PlanSpec::hybrid());
+        for (id, cost) in [(1, 3.0), (2, 1.0), (3, 2.0)] {
+            lookup(&mut cache, &base, id, cost);
+        }
+        assert_eq!(cache.state().inflation, 0.0);
+        assert_eq!(priority_of(&cache, 2), 1.0 / b);
 
-        cache.get_or_prepare(&gs[0], &dev); // [0]
-        cache.get_or_prepare(&gs[1], &dev); // [0, 1]
-        cache.get_or_prepare(&gs[0], &dev); // touch 0 → 1 is now LRU
-        cache.get_or_prepare(&gs[2], &dev); // evicts 1, not 0
-        assert!(cache.contains(fps[0]));
-        assert!(!cache.contains(fps[1]));
-        assert!(cache.contains(fps[2]));
-        assert_eq!(cache.stats().evictions, 1);
+        // Full. 4 evicts 2, the cheapest per byte, and enters at the new L.
+        lookup(&mut cache, &base, 4, 5.0);
+        assert_eq!(cache.state().fingerprints(), vec![fp(1), fp(3), fp(4)]);
+        let l = 1.0 / b;
+        assert_eq!(cache.state().inflation, l);
+        assert_eq!(priority_of(&cache, 4), l + 5.0 / b);
 
-        // Re-inserting 1 now evicts 0 (LRU after the touch order above).
-        cache.get_or_prepare(&gs[1], &dev);
-        assert!(!cache.contains(fps[0]));
-        assert!(cache.contains(fps[1]));
-        assert_eq!(cache.stats().evictions, 2);
+        // 5 evicts 3 (2/b): L rises to it, and 5 enters above it.
+        lookup(&mut cache, &base, 5, 0.5);
+        assert_eq!(cache.state().fingerprints(), vec![fp(1), fp(4), fp(5)]);
+        let l = 2.0 / b;
+        assert_eq!(cache.state().inflation, l);
+        assert_eq!(priority_of(&cache, 5), l + 0.5 / b);
+
+        // 6 evicts 5, the newest entry: its 0.5/b above L is the least.
+        lookup(&mut cache, &base, 6, 0.1);
+        assert_eq!(cache.state().fingerprints(), vec![fp(1), fp(4), fp(6)]);
+        assert_eq!(cache.state().inflation, l + 0.5 / b);
+        let s = cache.stats();
+        assert_eq!((s.misses, s.evictions, s.hits), (6, 3, 0));
+    }
+
+    #[test]
+    fn gdsf_evicts_the_cheap_recent_plan_that_lru_would_keep() {
+        let base = base_plan();
+        let mut cache = PlanCache::new(2 * base.approx_bytes(), PlanSpec::hybrid());
+        lookup(&mut cache, &base, 1, 4.0);
+        lookup(&mut cache, &base, 2, 1.0);
+        assert!(lookup(&mut cache, &base, 2, 1.0), "2 hits");
+        // 1 is least recently used, but rebuilding it costs 4/b against
+        // 2's two hits × 1/b.
+        lookup(&mut cache, &base, 3, 1.0);
+        assert_eq!(cache.state().fingerprints(), vec![fp(1), fp(3)]);
+    }
+
+    #[test]
+    fn a_hit_raises_the_entry_priority() {
+        let base = base_plan();
+        let b = base.approx_bytes() as f64;
+        let budget = 2 * base.approx_bytes();
+        let run = |hit_first: bool| {
+            let mut cache = PlanCache::new(budget, PlanSpec::hybrid());
+            lookup(&mut cache, &base, 1, 1.0);
+            lookup(&mut cache, &base, 2, 1.5);
+            if hit_first {
+                assert!(lookup(&mut cache, &base, 1, 1.0));
+                let e = cache.entry(fp(1)).expect("resident");
+                assert_eq!((e.hits, e.cost_ms, e.priority), (2, 1.0, 2.0 * 1.0 / b));
+            }
+            lookup(&mut cache, &base, 3, 1.0);
+            cache.state().fingerprints()
+        };
+        assert_eq!(run(false), vec![fp(2), fp(3)], "1 alone is cheapest");
+        assert_eq!(run(true), vec![fp(1), fp(3)], "the hit lifts 1 over 2");
+    }
+
+    #[test]
+    fn equal_priorities_evict_the_older_stamp() {
+        let base = base_plan();
+        let mut cache = PlanCache::new(2 * base.approx_bytes(), PlanSpec::hybrid());
+        lookup(&mut cache, &base, 1, 1.0);
+        lookup(&mut cache, &base, 2, 1.0);
+        lookup(&mut cache, &base, 3, 1.0);
+        assert_eq!(cache.state().fingerprints(), vec![fp(2), fp(3)]);
+    }
+
+    #[test]
+    fn admissions_after_both_lookups_missed_evict_deterministically() {
+        // Two threads may both miss before either admits, and admit in
+        // the other order: the sharded cache prepares outside the shard
+        // lock. Each admission takes its own stamp, so the equal-priority
+        // tie below goes to 2, admitted first — in every fresh cache,
+        // whatever its HashMap's iteration order.
+        let base = base_plan();
+        for round in 0..64 {
+            let mut cache = PlanCache::new(2 * base.approx_bytes(), PlanSpec::hybrid());
+            assert!(cache.touch(fp(1)).is_none());
+            assert!(cache.touch(fp(2)).is_none());
+            cache.admit(fp(2), fixture(&base, 2, 1.0));
+            cache.admit(fp(1), fixture(&base, 1, 1.0));
+            assert!(cache.touch(fp(3)).is_none());
+            cache.admit(fp(3), fixture(&base, 3, 1.0));
+            assert!(
+                cache.contains(fp(1)) && !cache.contains(fp(2)),
+                "round {round}: evicted the wrong plan"
+            );
+        }
+    }
+
+    #[test]
+    fn restored_state_reproduces_later_evictions() {
+        let base = base_plan();
+        let budget = 2 * base.approx_bytes();
+        let mut live = PlanCache::new(budget, PlanSpec::hybrid());
+        lookup(&mut live, &base, 1, 1.0);
+        lookup(&mut live, &base, 2, 3.0);
+        lookup(&mut live, &base, 3, 2.0); // evicts 1: L = 1/b
+        for _ in 0..4 {
+            lookup(&mut live, &base, 3, 2.0);
+        }
+        let saved = live.state();
+        assert!(saved.inflation > 0.0);
+
+        let mut restored = PlanCache::new(budget, PlanSpec::hybrid());
+        restored.restore_inflation(saved.inflation);
+        let mut fresh = PlanCache::new(budget, PlanSpec::hybrid());
+        for e in &saved.resident {
+            let plan = fixture(&base, e.fp.lo, e.cost_ms);
+            restored.restore_entry(Arc::clone(&plan), e);
+            fresh.restore_resident(plan);
+        }
+        assert_eq!(restored.state(), saved);
+        assert_eq!(
+            restored.stats(),
+            CacheStats::default(),
+            "restoring is not traffic"
+        );
+
+        // 3's five references outrank 2's one: the live cache and the
+        // restored one evict 2; a cache restored without its policy
+        // state evicts 3.
+        for cache in [&mut live, &mut restored, &mut fresh] {
+            lookup(cache, &base, 4, 2.5);
+        }
+        assert_eq!(live.state().fingerprints(), vec![fp(3), fp(4)]);
+        assert_eq!(restored.state(), live.state());
+        assert_eq!(fresh.state().fingerprints(), vec![fp(2), fp(4)]);
     }
 
     #[test]

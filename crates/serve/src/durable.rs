@@ -12,7 +12,7 @@
 //! fingerprint, the delta itself) **before** the patched plan is swapped
 //! into the cache, and every epoch barrier appends an fsynced marker
 //! carrying the cumulative pre-aggregation counters, cache statistics,
-//! per-shard residency order and the quarantine set. Plans are *never*
+//! per-shard eviction state and the quarantine set. Plans are *never*
 //! serialized: they are deterministic functions of (graph, spec, device)
 //! and are rebuilt warm on recovery — `Plan::prepare` at the nearest
 //! root-materialized graph, then `Plan::patch` replayed along the logged
@@ -272,17 +272,22 @@ impl DurableFront {
             mat.insert(rec.new_fp, Arc::new(g));
         }
 
-        // Seed the cache: statistics, quarantine lineage, then resident
-        // plans in logged LRU order (oldest first) so eviction behaves
-        // as if the cache never went away.
+        // Seed the cache: statistics, quarantine lineage, then each
+        // shard's inflation clock and resident plans in logged recency
+        // order (least recently used first), each with its logged hits,
+        // cost and priority, so eviction behaves as if the cache never
+        // went away. The policy state comes from the marker, never from
+        // the rebuilt plan: a plan rebuilt by patch replay bills less
+        // than the prepare a miss would pay.
         front.cache().seed_stats(marker.cache);
         front.cache().restore_quarantine(&marker.quarantine);
         let spec = front.cache().spec();
-        for shard in &marker.shard_residency {
-            for &fp in shard {
-                let plan = rebuild_plan(fp, &roots, &mat, &links, spec, dev, &mut stats)?;
+        for (i, shard) in marker.shard_residency.iter().enumerate() {
+            front.cache().restore_inflation(i, shard.inflation);
+            for entry in &shard.resident {
+                let plan = rebuild_plan(entry.fp, &roots, &mat, &links, spec, dev, &mut stats)?;
                 stats.restored_plans += 1;
-                front.cache().restore_resident(Arc::new(plan));
+                front.cache().restore_entry(Arc::new(plan), entry);
             }
         }
 
@@ -583,7 +588,7 @@ impl EpochSink for DurableSink<'_> {
     }
 
     fn epoch_end(&mut self, end: EpochEnd) -> Result<(), SinkHalt> {
-        let (shard_residency, quarantine) = self.cache.collect_recoverable();
+        let (shard_residency, quarantine) = self.cache.collect_recoverable_state();
         let marker = EpochMarker {
             epoch: end.epoch as u64,
             counters: end.counters,
@@ -612,9 +617,9 @@ impl EpochSink for DurableSink<'_> {
             }
             let mut graphs: Vec<(StructureFingerprint, Csr)> = Vec::new();
             for shard in &marker.shard_residency {
-                for &fp in shard {
-                    if let Some(g) = self.graphs.get(&fp) {
-                        graphs.push((fp, (**g).clone()));
+                for entry in &shard.resident {
+                    if let Some(g) = self.graphs.get(&entry.fp) {
+                        graphs.push((entry.fp, (**g).clone()));
                     }
                 }
             }

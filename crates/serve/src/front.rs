@@ -28,8 +28,8 @@
 //!    fingerprint in first-arrival order, chunked at
 //!    [`FrontConfig::max_cohort`]; cohort ids are global and sequential.
 //! 3. **Plan resolution** — one `get_or_prepare` per cohort, issued
-//!    sequentially on the scheduler thread so cache counters and LRU
-//!    order are identical at any worker count.
+//!    sequentially on the scheduler thread so cache counters and
+//!    eviction state are identical at any worker count.
 //! 4. **Execution** — cohorts stream through a bounded channel to
 //!    `workers` threads; each cohort runs on one worker, members in
 //!    arrival order through the shared plan, every member under its own
@@ -749,7 +749,7 @@ impl Front {
             }
 
             // --- Plan resolution: sequential, scheduler thread only, so
-            // cache counters and LRU order are worker-count-independent.
+            // cache counters and eviction state are worker-count-independent.
             let mut jobs: Vec<CohortJob<'_>> = Vec::new();
             for (fp, members) in groups {
                 for chunk in members.chunks(max_cohort) {

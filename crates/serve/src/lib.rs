@@ -6,8 +6,8 @@
 //! *reusing plans across requests on the same graph*. This crate holds:
 //!
 //! * [`PlanCache`] — maps [`graph_sparse::StructureFingerprint`] →
-//!   prepared [`hc_core::Plan`] under a byte budget with LRU eviction and
-//!   hit/miss/eviction counters;
+//!   prepared [`hc_core::Plan`] under a byte budget with cost-aware
+//!   GreedyDual-Size-Frequency eviction and hit/miss/eviction counters;
 //! * [`BatchDriver`] — runs a stream of (graph, feature-matrix)
 //!   [`Request`]s through cached plans on the `hc-parallel` pool, each
 //!   request executed resiliently: retry, kernel-family fallback and typed
@@ -30,7 +30,7 @@
 //! The durability layer makes the front crash-safe: [`wal`] logs every
 //! applied delta (checksummed, fsync-marked at epoch barriers) before the
 //! patched plan is swapped in, [`snapshot`] atomically persists the
-//! recoverable state (graphs, cache residency order, quarantine — never
+//! recoverable state (graphs, cache eviction state, quarantine — never
 //! plans, which are deterministically rebuilt), and [`DurableFront`]
 //! stitches them into a crash/recover/resume loop whose recovered output
 //! is bit-identical to an uncrashed run.
@@ -38,6 +38,7 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+mod codec;
 pub mod driver;
 pub mod durable;
 pub mod front;
@@ -45,7 +46,7 @@ pub mod shared;
 pub mod snapshot;
 pub mod wal;
 
-pub use cache::{CacheStats, PlanCache};
+pub use cache::{CacheStats, PlanCache, ResidentEntry, ShardState};
 pub use driver::{BatchDriver, BatchSummary, Outcome, Request, Response};
 pub use durable::{
     run_to_completion, DurabilityConfig, DurableFront, RecoveryStats, RunAttempt, RunOutcome,

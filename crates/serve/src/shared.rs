@@ -50,7 +50,7 @@ use graph_sparse::{Csr, StructureFingerprint};
 use hc_core::{Plan, PlanSpec, WorkspaceStats};
 use hc_parallel::sync::Mutex;
 
-use crate::cache::{CacheStats, PlanCache};
+use crate::cache::{CacheStats, PlanCache, ResidentEntry, ShardState};
 
 /// One lookup's result: the plan, whether it came from the cache, and
 /// whether the served plan is stale (superseded by a mutation whose
@@ -166,9 +166,9 @@ impl SharedPlanCache {
         }
     }
 
-    /// The resident plan for `fp` without counting a request or bumping
-    /// the LRU stamp — the patch path fetches the superseded plan as patch
-    /// base this way.
+    /// The resident plan for `fp` without counting a request or touching
+    /// its eviction state — the patch path fetches the superseded plan as
+    /// patch base this way.
     pub fn peek(&self, fp: StructureFingerprint) -> Option<Arc<Plan>> {
         self.shard(fp).lock().peek(fp)
     }
@@ -193,16 +193,21 @@ impl SharedPlanCache {
     /// Install a patched plan over the plan it supersedes: admit `plan`
     /// under its own fingerprint (first insert wins — a racing prepare for
     /// the same structure and this swap converge on one resident plan),
-    /// then retire the superseded entry. Quarantine is preserved across
+    /// then retire the superseded entry. The patched entry continues its
+    /// lineage's eviction state: the superseded entry's `hits` and
+    /// `cost_ms` (see [`PlanCache::admit_patched`]); with no superseded
+    /// entry resident it is admitted fresh. Quarantine is preserved across
     /// the swap: if *either* fingerprint is quarantined the patched plan
     /// is barred from residency and its fingerprint is quarantined too —
     /// it derives from a poisoned plan.
     ///
-    /// Locking: the new structure's shard, then the registry (the global
-    /// shard → registry order), released before the old structure's shard
-    /// is taken. No path ever holds two shards at once.
+    /// Locking: the old structure's shard to read the lineage, released;
+    /// the new structure's shard, then the registry (the global
+    /// shard → registry order), released; the old structure's shard again
+    /// to retire it. No path ever holds two shards at once.
     pub fn swap_patched(&self, old_fp: StructureFingerprint, plan: Arc<Plan>) -> SwapOutcome {
         let new_fp = plan.fingerprint;
+        let lineage = self.shard(old_fp).lock().entry(old_fp);
         let outcome = {
             let mut shard = self.shard(new_fp).lock();
             // Lock order: shard → quarantine registry.
@@ -215,7 +220,10 @@ impl SharedPlanCache {
             } else {
                 drop(reg);
                 shard.note_swap();
-                shard.admit(new_fp, plan);
+                match &lineage {
+                    Some(lineage) => shard.admit_patched(new_fp, plan, lineage),
+                    None => shard.admit(new_fp, plan),
+                };
                 SwapOutcome::Swapped
             }
         };
@@ -296,8 +304,10 @@ impl SharedPlanCache {
         self.spec
     }
 
-    /// Collect the recoverable cache state — per-shard residency in LRU
-    /// order plus the quarantine registry — as one consistent snapshot.
+    /// Collect the recoverable cache state — each shard's eviction state
+    /// ([`PlanCache::state`]: its inflation clock and resident entries in
+    /// recency order) plus the quarantine registry — as one consistent
+    /// snapshot.
     ///
     /// Locking: every shard is acquired in ascending index order and
     /// *held* while the registry is read, then everything is released.
@@ -309,16 +319,24 @@ impl SharedPlanCache {
     /// deadlock with paths that hold at most one shard, and no path holds
     /// the registry while waiting on a shard. Pinned by the snapshot
     /// model suite in `crates/check/tests/snapshot_model.rs`.
-    pub fn collect_recoverable(
-        &self,
-    ) -> (Vec<Vec<StructureFingerprint>>, Vec<StructureFingerprint>) {
+    pub fn collect_recoverable_state(&self) -> (Vec<ShardState>, Vec<StructureFingerprint>) {
         let guards: Vec<_> = self.shards.iter().map(|s| s.lock()).collect();
-        let residency: Vec<Vec<StructureFingerprint>> =
-            guards.iter().map(|g| g.resident_lru()).collect();
+        let shards: Vec<ShardState> = guards.iter().map(|g| g.state()).collect();
         let mut quarantine: Vec<StructureFingerprint> =
             self.quarantine.lock().iter().copied().collect();
         drop(guards);
         quarantine.sort_by_key(|fp| (fp.lo, fp.hi));
+        (shards, quarantine)
+    }
+
+    /// [`collect_recoverable_state`](SharedPlanCache::collect_recoverable_state)
+    /// reduced to each shard's resident fingerprints, least recently used
+    /// first.
+    pub fn collect_recoverable(
+        &self,
+    ) -> (Vec<Vec<StructureFingerprint>>, Vec<StructureFingerprint>) {
+        let (shards, quarantine) = self.collect_recoverable_state();
+        let residency = shards.iter().map(ShardState::fingerprints).collect();
         (residency, quarantine)
     }
 
@@ -329,13 +347,32 @@ impl SharedPlanCache {
         v
     }
 
-    /// Re-admit a deterministically rebuilt plan during recovery (no
-    /// traffic counted, no eviction; see
-    /// [`PlanCache::restore_resident`]). Routes to the plan's shard, so
-    /// inserting each persisted shard list in its LRU order reproduces
-    /// the pre-crash recency structure exactly.
+    /// Re-admit a deterministically rebuilt plan with fresh eviction
+    /// state (no traffic counted, no eviction; see
+    /// [`PlanCache::restore_resident`]), routed to the plan's shard.
     pub fn restore_resident(&self, plan: Arc<Plan>) {
         self.shard(plan.fingerprint).lock().restore_resident(plan);
+    }
+
+    /// Re-admit a deterministically rebuilt plan during recovery with its
+    /// persisted eviction state (no traffic counted, no eviction; see
+    /// [`PlanCache::restore_entry`]). Routes to the plan's shard, so
+    /// inserting each persisted shard's entries in their recency order,
+    /// after [`restore_inflation`](SharedPlanCache::restore_inflation),
+    /// reproduces the pre-crash eviction state exactly.
+    pub fn restore_entry(&self, plan: Arc<Plan>, state: &ResidentEntry) {
+        self.shard(plan.fingerprint)
+            .lock()
+            .restore_entry(plan, state);
+    }
+
+    /// Restore shard `index`'s persisted inflation clock during recovery
+    /// (an index past the shard count is ignored: recovery checks the
+    /// count first).
+    pub fn restore_inflation(&self, index: usize, inflation: f64) {
+        if let Some(s) = self.shards.get(index) {
+            s.lock().restore_inflation(inflation);
+        }
     }
 
     /// Restore quarantine registrations during recovery: each fingerprint
@@ -464,6 +501,51 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.swaps, 1);
         assert_eq!(s.stale_hits, 1);
+    }
+
+    #[test]
+    fn swapped_in_patched_plan_continues_its_lineage() {
+        use graph_sparse::DeltaCsr;
+        let dev = DeviceSpec::rtx3090();
+        let a = gen::erdos_renyi(192, 800, 42);
+        let old_fp = StructureFingerprint::of(&a);
+        let cache = SharedPlanCache::new(u64::MAX / 4, PlanSpec::hybrid(), 4);
+        for _ in 0..3 {
+            cache.lookup(&a, &dev); // one admission, two hits
+        }
+        let (r, &c) = (0..a.nrows)
+            .find_map(|r| a.row_cols(r).first().map(|c| (r, c)))
+            .expect("graph has edges");
+        let delta = DeltaCsr::new(a.nrows, a.ncols, vec![], vec![(r as u32, c)]).expect("valid");
+        let base = cache.peek(old_fp).expect("resident");
+        let patched = Arc::new(base.patch(&a, &delta, &dev).expect("patches"));
+        assert!(
+            patched.sim_prepare_ms() < base.sim_prepare_ms(),
+            "a patch bills the dirty windows only"
+        );
+        cache.swap_patched(old_fp, Arc::clone(&patched));
+
+        let entry = |fp: StructureFingerprint| {
+            cache
+                .collect_recoverable_state()
+                .0
+                .into_iter()
+                .flat_map(|s| s.resident)
+                .find(|e| e.fp == fp)
+        };
+        assert!(entry(old_fp).is_none(), "superseded entry retired");
+        // The patched entry carries its lineage's hits and rebuild cost,
+        // priced by its own size.
+        let e = entry(patched.fingerprint).expect("patched plan resident");
+        assert_eq!((e.hits, e.cost_ms), (3, base.sim_prepare_ms()));
+        assert_eq!(
+            e.priority,
+            3.0 * base.sim_prepare_ms() / patched.approx_bytes() as f64
+        );
+        // Its next hit continues the count.
+        let b = delta.apply(&a).expect("applies");
+        assert!(cache.lookup(&b, &dev).hit);
+        assert_eq!(entry(patched.fingerprint).expect("resident").hits, 4);
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //! A snapshot captures everything a restart cannot cheaply re-derive from
 //! the event trace: the *post-churn base graph structures* (keyed by
 //! [`StructureFingerprint`] — the applied-delta high-water mark for each
-//! graph lineage), the cache's per-shard residency in LRU order (so the
-//! restarted cache makes identical eviction decisions), the quarantine
-//! set, and the cumulative counters at the snapshot's epoch barrier.
+//! graph lineage), each cache shard's eviction state (its inflation clock
+//! and its resident entries' hits, cost and priority in recency order, so
+//! the restarted cache makes identical eviction decisions), the
+//! quarantine set, and the cumulative counters at the snapshot's epoch
+//! barrier.
 //! Prepared [`hc_core::Plan`]s are deliberately **not** serialized: plans
 //! are a pure deterministic function of (graph, spec, device), so recovery
 //! rebuilds them — warm via [`hc_core::Plan::patch`] replay along the
@@ -24,14 +26,20 @@ use std::path::Path;
 
 use graph_sparse::{Csr, StructureFingerprint};
 
-use crate::cache::CacheStats;
+use crate::cache::{CacheStats, ShardState};
+use crate::codec::{
+    checksum, decode_cache_stats, decode_counters, decode_shards, encode_cache_stats,
+    encode_counters, encode_shards, Dec, Enc,
+};
 use crate::front::FrontCounters;
-use crate::wal::{checksum, Dec, Enc, RecoveryError};
+use crate::wal::RecoveryError;
 
 /// File magic for snapshot files.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"HCSPMMSS";
-/// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// Current snapshot format version. Version 2 carries the cache's eviction
+/// state, as the WAL's version-2 markers do; a version-1 file fails with
+/// [`RecoveryError::UnsupportedVersion`].
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// The serving front's recoverable state at one epoch barrier.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,9 +54,9 @@ pub struct Snapshot {
     /// applied-delta high-water mark. The fingerprint doubles as the
     /// high-water mark: it names exactly which deltas have been applied.
     pub graphs: Vec<(StructureFingerprint, Csr)>,
-    /// Resident plan fingerprints per cache shard, LRU order (oldest
-    /// first).
-    pub shard_residency: Vec<Vec<StructureFingerprint>>,
+    /// Each cache shard's eviction state, resident entries least recently
+    /// used first.
+    pub shard_residency: Vec<ShardState>,
     /// The quarantine registry, sorted.
     pub quarantine: Vec<StructureFingerprint>,
 }
@@ -106,78 +114,6 @@ fn decode_csr(d: &mut Dec<'_>) -> Option<Csr> {
     })
 }
 
-fn encode_counters(e: &mut Enc, c: &FrontCounters) {
-    for v in [
-        c.submitted,
-        c.admitted,
-        c.rejected_queue,
-        c.rejected_quota,
-        c.completed,
-        c.ok,
-        c.degraded,
-        c.failed,
-        c.cohorts,
-        c.cohorted_requests,
-        c.epochs,
-        c.quarantined_cohorts,
-        c.mutations,
-        c.patched_plans,
-        c.stale_served,
-    ] {
-        e.u64(v);
-    }
-}
-
-fn decode_counters(d: &mut Dec<'_>) -> Option<FrontCounters> {
-    Some(FrontCounters {
-        submitted: d.u64()?,
-        admitted: d.u64()?,
-        rejected_queue: d.u64()?,
-        rejected_quota: d.u64()?,
-        completed: d.u64()?,
-        ok: d.u64()?,
-        degraded: d.u64()?,
-        failed: d.u64()?,
-        cohorts: d.u64()?,
-        cohorted_requests: d.u64()?,
-        epochs: d.u64()?,
-        quarantined_cohorts: d.u64()?,
-        mutations: d.u64()?,
-        patched_plans: d.u64()?,
-        stale_served: d.u64()?,
-    })
-}
-
-fn encode_cache_stats(e: &mut Enc, s: &CacheStats) {
-    for v in [
-        s.requests,
-        s.hits,
-        s.misses,
-        s.evictions,
-        s.rejected,
-        s.quarantined,
-        s.quarantine_misses,
-        s.stale_hits,
-        s.swaps,
-    ] {
-        e.u64(v);
-    }
-}
-
-fn decode_cache_stats(d: &mut Dec<'_>) -> Option<CacheStats> {
-    Some(CacheStats {
-        requests: d.u64()?,
-        hits: d.u64()?,
-        misses: d.u64()?,
-        evictions: d.u64()?,
-        rejected: d.u64()?,
-        quarantined: d.u64()?,
-        quarantine_misses: d.u64()?,
-        stale_hits: d.u64()?,
-        swaps: d.u64()?,
-    })
-}
-
 impl Snapshot {
     /// Serialize to the on-disk image: magic, version, payload, trailing
     /// SplitMix64-folded checksum over everything before it.
@@ -191,10 +127,7 @@ impl Snapshot {
             e.fp(*fp);
             encode_csr(&mut e, g);
         }
-        e.u32(self.shard_residency.len() as u32);
-        for shard in &self.shard_residency {
-            e.fps(shard);
-        }
+        encode_shards(&mut e, &self.shard_residency);
         e.fps(&self.quarantine);
         let payload = e.into_bytes();
 
@@ -271,14 +204,7 @@ impl Snapshot {
             }
             graphs.push((fp, g));
         }
-        let n_shards = d.u32().ok_or(malformed("shard count"))? as usize;
-        if n_shards > bytes.len() {
-            return Err(malformed("shard count"));
-        }
-        let mut shard_residency = Vec::with_capacity(n_shards);
-        for _ in 0..n_shards {
-            shard_residency.push(d.fps().ok_or(malformed("shard residency"))?);
-        }
+        let shard_residency = decode_shards(&mut d).ok_or(malformed("shard residency"))?;
         let quarantine = d.fps().ok_or(malformed("quarantine set"))?;
         if !d.done() {
             return Err(malformed("trailing bytes"));
@@ -302,6 +228,7 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::ResidentEntry;
     use graph_sparse::gen;
 
     fn sample() -> Snapshot {
@@ -324,7 +251,28 @@ mod tests {
                 ..Default::default()
             },
             graphs: vec![(f0, g0), (f1, g1)],
-            shard_residency: vec![vec![f0], vec![f1], vec![], vec![]],
+            shard_residency: vec![
+                ShardState {
+                    inflation: 0.0,
+                    resident: vec![ResidentEntry {
+                        fp: f0,
+                        hits: 1,
+                        cost_ms: 0.02,
+                        priority: 1.5e-6,
+                    }],
+                },
+                ShardState {
+                    inflation: 1e-6,
+                    resident: vec![ResidentEntry {
+                        fp: f1,
+                        hits: 5,
+                        cost_ms: 0.04,
+                        priority: 9e-6,
+                    }],
+                },
+                ShardState::default(),
+                ShardState::default(),
+            ],
             quarantine: vec![],
         }
     }

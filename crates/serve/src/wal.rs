@@ -27,10 +27,12 @@
 //! integers are little-endian. Two record kinds exist: a **delta record**
 //! (one applied [`DeltaCsr`] with its base/post-apply fingerprints and
 //! trace position) and an **epoch marker** (the fsync point: cumulative
-//! counters, cache statistics, per-shard cache residency in LRU order and
-//! the quarantine set at an epoch barrier). [`Wal::append_marker`] calls
-//! `sync_all` after the write, so everything up to and including the last
-//! marker is durable; delta records after the last marker are not.
+//! counters, cache statistics, each cache shard's eviction state — its
+//! inflation clock and its resident entries' hits, cost and priority in
+//! recency order — and the quarantine set at an epoch barrier).
+//! [`Wal::append_marker`] calls `sync_all` after the write, so everything
+//! up to and including the last marker is durable; delta records after
+//! the last marker are not.
 //!
 //! ## Torn tails and idempotent replay
 //!
@@ -52,13 +54,20 @@ use std::path::{Path, PathBuf};
 
 use graph_sparse::{CsrError, DeltaCsr, DeltaError, StructureFingerprint};
 
-use crate::cache::CacheStats;
+use crate::cache::{CacheStats, ShardState};
+use crate::codec::{
+    checksum, decode_cache_stats, decode_counters, decode_shards, encode_cache_stats,
+    encode_counters, encode_shards, Dec, Enc,
+};
 use crate::front::FrontCounters;
 
 /// File magic for WAL files.
 pub const WAL_MAGIC: [u8; 8] = *b"HCSPMMWL";
-/// Current WAL format version.
-pub const WAL_VERSION: u32 = 1;
+/// Current WAL format version. Version 2 markers carry the cache's
+/// eviction state (inflation clocks and per-entry hits, cost and
+/// priority); a version-1 file fails with
+/// [`RecoveryError::UnsupportedVersion`].
+pub const WAL_VERSION: u32 = 2;
 /// Size of the file header (magic + version).
 const HEADER_LEN: u64 = 12;
 /// Ceiling on a single record's declared length: a bit-flip in the length
@@ -188,148 +197,6 @@ impl From<std::io::Error> for RecoveryError {
     }
 }
 
-/// SplitMix64 finalizer — the workspace's standard deterministic mixer.
-fn splitmix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// SplitMix64 fold over a byte string: the length seeds the state, then
-/// each little-endian 8-byte chunk (zero-padded tail) is mixed in. Not
-/// cryptographic — it catches torn writes and random corruption, which is
-/// the WAL's threat model.
-pub(crate) fn checksum(parts: &[&[u8]]) -> u64 {
-    let total: usize = parts.iter().map(|p| p.len()).sum();
-    let mut state = splitmix(0x4843_574c ^ total as u64); // "HCWL"
-    let mut carry = [0u8; 8];
-    let mut fill = 0usize;
-    for part in parts {
-        for &b in *part {
-            carry[fill] = b;
-            fill += 1;
-            if fill == 8 {
-                state = splitmix(state ^ u64::from_le_bytes(carry));
-                fill = 0;
-            }
-        }
-    }
-    if fill > 0 {
-        carry[fill..].fill(0);
-        state = splitmix(state ^ u64::from_le_bytes(carry));
-    }
-    state
-}
-
-/// Little-endian byte-string encoder shared by the WAL and snapshot
-/// formats.
-#[derive(Default)]
-pub(crate) struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    pub(crate) fn new() -> Enc {
-        Enc::default()
-    }
-
-    pub(crate) fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn f32(&mut self, v: f32) {
-        self.u32(v.to_bits());
-    }
-
-    pub(crate) fn fp(&mut self, fp: StructureFingerprint) {
-        self.u64(fp.lo);
-        self.u64(fp.hi);
-    }
-
-    pub(crate) fn fps(&mut self, fps: &[StructureFingerprint]) {
-        self.u32(fps.len() as u32);
-        for &fp in fps {
-            self.fp(fp);
-        }
-    }
-
-    pub(crate) fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-}
-
-/// Bounds-checked little-endian decoder: every read can fail (hostile
-/// bytes), no read panics.
-pub(crate) struct Dec<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    pub(crate) fn new(bytes: &'a [u8]) -> Dec<'a> {
-        Dec { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        let s = self.bytes.get(self.pos..end)?;
-        self.pos = end;
-        Some(s)
-    }
-
-    pub(crate) fn u32(&mut self) -> Option<u32> {
-        self.take(4).map(|s| {
-            let mut b = [0u8; 4];
-            b.copy_from_slice(s);
-            u32::from_le_bytes(b)
-        })
-    }
-
-    pub(crate) fn u64(&mut self) -> Option<u64> {
-        self.take(8).map(|s| {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(s);
-            u64::from_le_bytes(b)
-        })
-    }
-
-    pub(crate) fn f32(&mut self) -> Option<f32> {
-        self.u32().map(f32::from_bits)
-    }
-
-    pub(crate) fn fp(&mut self) -> Option<StructureFingerprint> {
-        let lo = self.u64()?;
-        let hi = self.u64()?;
-        Some(StructureFingerprint { lo, hi })
-    }
-
-    pub(crate) fn fps(&mut self) -> Option<Vec<StructureFingerprint>> {
-        let n = self.u32()? as usize;
-        // A corrupted count must not pre-allocate unbounded memory.
-        if n > self.remaining() / 16 {
-            return None;
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.fp()?);
-        }
-        Some(out)
-    }
-
-    pub(crate) fn remaining(&self) -> usize {
-        self.bytes.len().saturating_sub(self.pos)
-    }
-
-    pub(crate) fn done(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
-}
-
 /// One applied mutation, logged before its patched plan is swapped in.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeltaRecord {
@@ -356,9 +223,10 @@ pub struct EpochMarker {
     pub counters: FrontCounters,
     /// Cumulative cache statistics at the barrier.
     pub cache: CacheStats,
-    /// Resident plan fingerprints per cache shard, LRU order (oldest
-    /// first) — restoring this order reproduces eviction decisions.
-    pub shard_residency: Vec<Vec<StructureFingerprint>>,
+    /// Each cache shard's eviction state: its inflation clock and its
+    /// resident entries, least recently used first — restoring it
+    /// reproduces every later eviction decision.
+    pub shard_residency: Vec<ShardState>,
     /// The quarantine registry at the barrier, sorted.
     pub quarantine: Vec<StructureFingerprint>,
 }
@@ -370,78 +238,6 @@ pub enum WalRecord {
     Delta(DeltaRecord),
     /// An epoch barrier fsync point.
     Marker(EpochMarker),
-}
-
-fn encode_counters(e: &mut Enc, c: &FrontCounters) {
-    for v in [
-        c.submitted,
-        c.admitted,
-        c.rejected_queue,
-        c.rejected_quota,
-        c.completed,
-        c.ok,
-        c.degraded,
-        c.failed,
-        c.cohorts,
-        c.cohorted_requests,
-        c.epochs,
-        c.quarantined_cohorts,
-        c.mutations,
-        c.patched_plans,
-        c.stale_served,
-    ] {
-        e.u64(v);
-    }
-}
-
-fn decode_counters(d: &mut Dec<'_>) -> Option<FrontCounters> {
-    Some(FrontCounters {
-        submitted: d.u64()?,
-        admitted: d.u64()?,
-        rejected_queue: d.u64()?,
-        rejected_quota: d.u64()?,
-        completed: d.u64()?,
-        ok: d.u64()?,
-        degraded: d.u64()?,
-        failed: d.u64()?,
-        cohorts: d.u64()?,
-        cohorted_requests: d.u64()?,
-        epochs: d.u64()?,
-        quarantined_cohorts: d.u64()?,
-        mutations: d.u64()?,
-        patched_plans: d.u64()?,
-        stale_served: d.u64()?,
-    })
-}
-
-fn encode_cache_stats(e: &mut Enc, s: &CacheStats) {
-    for v in [
-        s.requests,
-        s.hits,
-        s.misses,
-        s.evictions,
-        s.rejected,
-        s.quarantined,
-        s.quarantine_misses,
-        s.stale_hits,
-        s.swaps,
-    ] {
-        e.u64(v);
-    }
-}
-
-fn decode_cache_stats(d: &mut Dec<'_>) -> Option<CacheStats> {
-    Some(CacheStats {
-        requests: d.u64()?,
-        hits: d.u64()?,
-        misses: d.u64()?,
-        evictions: d.u64()?,
-        rejected: d.u64()?,
-        quarantined: d.u64()?,
-        quarantine_misses: d.u64()?,
-        stale_hits: d.u64()?,
-        swaps: d.u64()?,
-    })
 }
 
 pub(crate) fn encode_delta(e: &mut Enc, delta: &DeltaCsr) {
@@ -503,10 +299,7 @@ fn encode_record_payload(rec: &WalRecord) -> (u8, Vec<u8>) {
             e.u64(m.epoch);
             encode_counters(&mut e, &m.counters);
             encode_cache_stats(&mut e, &m.cache);
-            e.u32(m.shard_residency.len() as u32);
-            for shard in &m.shard_residency {
-                e.fps(shard);
-            }
+            encode_shards(&mut e, &m.shard_residency);
             e.fps(&m.quarantine);
             (KIND_MARKER, e.into_bytes())
         }
@@ -560,14 +353,7 @@ fn decode_record_payload(
             let epoch = d.u64().ok_or(malformed("epoch"))?;
             let counters = decode_counters(&mut d).ok_or(malformed("counters"))?;
             let cache = decode_cache_stats(&mut d).ok_or(malformed("cache stats"))?;
-            let n_shards = d.u32().ok_or(malformed("shard count"))? as usize;
-            if n_shards > payload.len() {
-                return Err(malformed("shard count"));
-            }
-            let mut shard_residency = Vec::with_capacity(n_shards);
-            for _ in 0..n_shards {
-                shard_residency.push(d.fps().ok_or(malformed("shard residency"))?);
-            }
+            let shard_residency = decode_shards(&mut d).ok_or(malformed("shard residency"))?;
             let quarantine = d.fps().ok_or(malformed("quarantine set"))?;
             if !d.done() {
                 return Err(malformed("trailing bytes"));
@@ -827,6 +613,7 @@ enum ScanDefect {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::ResidentEntry;
     use graph_sparse::gen;
 
     fn scratch(name: &str) -> PathBuf {
@@ -866,11 +653,32 @@ mod tests {
                 ..Default::default()
             },
             shard_residency: vec![
-                vec![StructureFingerprint { lo: 1, hi: 2 }],
-                vec![
-                    StructureFingerprint { lo: 3, hi: 4 },
-                    StructureFingerprint { lo: 5, hi: 6 },
-                ],
+                ShardState {
+                    inflation: 0.0,
+                    resident: vec![ResidentEntry {
+                        fp: StructureFingerprint { lo: 1, hi: 2 },
+                        hits: 2,
+                        cost_ms: 0.03,
+                        priority: 2e-6,
+                    }],
+                },
+                ShardState {
+                    inflation: 1e-6,
+                    resident: vec![
+                        ResidentEntry {
+                            fp: StructureFingerprint { lo: 3, hi: 4 },
+                            hits: 1,
+                            cost_ms: 0.05,
+                            priority: 2.5e-6,
+                        },
+                        ResidentEntry {
+                            fp: StructureFingerprint { lo: 5, hi: 6 },
+                            hits: 4,
+                            cost_ms: 0.02,
+                            priority: 3.5e-6,
+                        },
+                    ],
+                },
             ],
             quarantine: vec![StructureFingerprint { lo: 7, hi: 8 }],
         }
@@ -994,14 +802,5 @@ mod tests {
             Wal::replay_bytes(&WAL_MAGIC),
             Err(RecoveryError::Truncated { .. })
         ));
-    }
-
-    #[test]
-    fn checksum_distinguishes_part_boundaries() {
-        // The fold must not treat ["ab","c"] and ["a","bc"] differently,
-        // but must distinguish content and length.
-        assert_eq!(checksum(&[b"ab", b"c"]), checksum(&[b"a", b"bc"]));
-        assert_ne!(checksum(&[b"abc"]), checksum(&[b"abd"]));
-        assert_ne!(checksum(&[b"abc"]), checksum(&[b"abc\0"]));
     }
 }

@@ -10,8 +10,13 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use gpu_sim::DeviceSpec;
 use graph_sparse::{gen, DeltaCsr, StructureFingerprint};
-use hc_serve::{CacheStats, DeltaRecord, EpochMarker, FrontCounters, Snapshot, Wal, WalRecord};
+use hc_core::PlanSpec;
+use hc_serve::{
+    CacheStats, DeltaRecord, DurabilityConfig, DurableFront, EpochMarker, Front, FrontConfig,
+    FrontCounters, RecoveryError, ResidentEntry, ShardState, Snapshot, Wal, WalRecord,
+};
 use proptest::prelude::*;
 
 fn scratch(name: &str) -> PathBuf {
@@ -25,6 +30,23 @@ fn scratch(name: &str) -> PathBuf {
         std::process::id()
     ));
     p
+}
+
+/// A shard's eviction state with `fps` resident, least recently used
+/// first, each admitted once at a 0.05 ms rebuild cost.
+fn shard(fps: &[StructureFingerprint]) -> ShardState {
+    ShardState {
+        inflation: 0.0,
+        resident: fps
+            .iter()
+            .map(|&fp| ResidentEntry {
+                fp,
+                hits: 1,
+                cost_ms: 0.05,
+                priority: 0.05 / 4096.0,
+            })
+            .collect(),
+    }
 }
 
 /// One guaranteed-absent edge of `a`, as an insert delta.
@@ -59,7 +81,7 @@ fn healthy_wal(n: usize) -> Vec<u8> {
                 epoch: i as u64,
                 counters: FrontCounters::default(),
                 cache: CacheStats::default(),
-                shard_residency: vec![vec![base_fp], vec![], vec![new_fp], vec![]],
+                shard_residency: vec![shard(&[base_fp]), shard(&[]), shard(&[new_fp]), shard(&[])],
                 quarantine: vec![],
             })
             .expect("marker");
@@ -80,7 +102,7 @@ fn healthy_snapshot() -> Vec<u8> {
         counters: FrontCounters::default(),
         cache: CacheStats::default(),
         graphs: vec![(fp, g)],
-        shard_residency: vec![vec![fp], vec![]],
+        shard_residency: vec![shard(&[fp]), shard(&[])],
         quarantine: vec![],
     }
     .to_bytes()
@@ -198,7 +220,7 @@ fn duplicated_records_replay_and_are_skipped_idempotently() {
         epoch: 0,
         counters: FrontCounters::default(),
         cache: CacheStats::default(),
-        shard_residency: vec![vec![]],
+        shard_residency: vec![shard(&[])],
         quarantine: vec![],
     })
     .expect("marker");
@@ -237,7 +259,7 @@ fn stale_fingerprint_in_record_is_detected_at_recovery() {
         epoch: 0,
         counters: FrontCounters::default(),
         cache: CacheStats::default(),
-        shard_residency: vec![vec![]],
+        shard_residency: vec![shard(&[])],
         quarantine: vec![],
     })
     .expect("marker");
@@ -251,4 +273,35 @@ fn stale_fingerprint_in_record_is_detected_at_recovery() {
     }
     let truth = StructureFingerprint::of(&rec.delta.apply(&g).expect("applies"));
     assert_ne!(truth, rec.new_fp, "the log is lying and recovery can tell");
+}
+
+#[test]
+fn version_1_files_fail_typed() {
+    // Written by the previous format: markers and snapshots that list
+    // resident fingerprints without their eviction state. Restoring from
+    // them would silently change every later eviction, so they fail.
+    let wal = include_bytes!("fixtures/v1.wal");
+    let snap = include_bytes!("fixtures/v1.snap");
+    assert!(matches!(
+        Wal::replay_bytes(wal),
+        Err(RecoveryError::UnsupportedVersion { found: 1 })
+    ));
+    assert!(matches!(
+        Snapshot::from_bytes(snap),
+        Err(RecoveryError::UnsupportedVersion { found: 1 })
+    ));
+
+    let cfg = DurabilityConfig {
+        wal_path: scratch("v1-wal"),
+        snapshot_path: scratch("v1-snap"),
+        snapshot_every: 1,
+    };
+    std::fs::write(&cfg.wal_path, wal).expect("write the v1 log");
+    let front = Front::new(1 << 20, PlanSpec::hybrid(), 1, FrontConfig::default());
+    let recovered = DurableFront::recover(front, cfg.clone(), &[], &DeviceSpec::rtx3090());
+    let _ = std::fs::remove_file(&cfg.wal_path);
+    assert!(matches!(
+        recovered.err(),
+        Some(RecoveryError::UnsupportedVersion { found: 1 })
+    ));
 }

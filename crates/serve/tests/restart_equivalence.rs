@@ -5,18 +5,20 @@
 //! trace yields a report bit-identical to the uncrashed run: responses,
 //! counters, mutation outcomes, latency percentiles, tenant accounting
 //! and cache statistics. Deltas are never double-applied; torn tails
-//! roll back to the last fsync marker.
+//! roll back to the last fsync marker. The sweep runs twice: under a
+//! budget that never evicts, and under one shard below the trace's
+//! working set, where recovery must also reproduce every eviction.
 
 use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use gpu_sim::{CrashConfig, CrashSite, DeviceSpec, FaultConfig};
-use graph_sparse::{gen, Csr, DeltaCsr, DenseMatrix};
-use hc_core::{PlanSpec, ResiliencePolicy};
+use gpu_sim::{CrashConfig, CrashScope, CrashSite, DeviceSpec, FaultConfig};
+use graph_sparse::{gen, Csr, DeltaCsr, DenseMatrix, StructureFingerprint};
+use hc_core::{Plan, PlanSpec, ResiliencePolicy};
 use hc_serve::{
-    run_to_completion, DurabilityConfig, Front, FrontConfig, FrontEvent, FrontReport, FrontRequest,
-    Mutation, Request, TenantId,
+    run_to_completion, DurabilityConfig, DurableFront, Front, FrontConfig, FrontEvent, FrontReport,
+    FrontRequest, Mutation, Request, TenantId, Wal,
 };
 
 const EPOCH: usize = 6;
@@ -249,4 +251,126 @@ fn seeded_crash_schedules_are_deterministic() {
         assert_eq!(a.attempts, b.attempts, "seed {seed}");
         assert_reports_equal(&a.report, &b.report, &format!("seed {seed}"));
     }
+}
+
+/// Each distinct structure the trace serves, in first-serve order.
+fn served_structures(events: &[FrontEvent]) -> Vec<Arc<Csr>> {
+    let mut seen = HashSet::new();
+    events
+        .iter()
+        .filter_map(|ev| match ev {
+            FrontEvent::Serve(fr) => Some(Arc::clone(&fr.request.graph)),
+            FrontEvent::Mutate(_) => None,
+        })
+        .filter(|g| seen.insert(StructureFingerprint::of(g)))
+        .collect()
+}
+
+/// [`trace`] plus two epochs that revisit every structure it serves,
+/// including the retired pre-mutation bases: under a tight budget the
+/// cache keeps evicting after the last patch, so a restart at any later
+/// crash point must reproduce those decisions.
+fn trace_with_revisits() -> Vec<FrontEvent> {
+    let mut ev = trace();
+    let graphs = served_structures(&ev);
+    for i in 0..2 * EPOCH {
+        ev.push(serve(
+            (i % 4) as u32,
+            &graphs[i % graphs.len()],
+            100 + i as u64,
+        ));
+    }
+    ev
+}
+
+/// One shard's budget at about two thirds of the trace's working set:
+/// the resumed run's evictions depend on the restored hits, costs,
+/// priorities and inflation clock.
+fn tight_budget(events: &[FrontEvent], dev: &DeviceSpec) -> u64 {
+    let working_set: u64 = served_structures(events)
+        .iter()
+        .map(|g| Plan::prepare(g, PlanSpec::hybrid(), dev).approx_bytes())
+        .sum();
+    working_set * 65 / 100
+}
+
+#[test]
+fn every_crash_point_recovers_under_eviction_pressure() {
+    let dev = DeviceSpec::rtx3090();
+    let events = trace_with_revisits();
+    let budget = tight_budget(&events, &dev);
+    let mk_tight = || Front::new(budget, PlanSpec::hybrid(), 1, *mk_front().config());
+    let control = mk_tight().run_events(&events, &dev);
+    assert!(
+        control.counters.patched_plans >= 3,
+        "trace must exercise the patch path: {} patches",
+        control.counters.patched_plans
+    );
+    assert!(control.cache.evictions > 0, "the budget must evict");
+
+    let cfg = scratch("tight-probe");
+    let probe = run_to_completion(&mk_tight, &cfg, &events, &dev, CrashConfig::off())
+        .expect("uncrashed durable run");
+    cleanup(&cfg);
+    assert_reports_equal(&probe.report, &control, "uncrashed durable run");
+    let horizon = probe.crash_points;
+    assert!(horizon >= 12, "schedule too small: {horizon}");
+
+    let mut sites_hit: HashSet<CrashSite> = HashSet::new();
+    for k in 0..horizon {
+        let cfg = scratch(&format!("tight-k{k}"));
+        let out = run_to_completion(&mk_tight, &cfg, &events, &dev, CrashConfig::at(k))
+            .unwrap_or_else(|e| panic!("crash point {k}: recovery failed: {e}"));
+        cleanup(&cfg);
+        assert_eq!(out.crashes.len(), 1, "crash point {k} must fire once");
+        sites_hit.insert(out.crashes[0]);
+        for r in &out.recoveries {
+            assert_eq!(r.double_applied, 0, "crash point {k}: double apply");
+        }
+        assert_reports_equal(&out.report, &control, &format!("crash point {k}"));
+    }
+    for site in CrashSite::ALL {
+        assert!(sites_hit.contains(&site), "never crashed at {site}");
+    }
+}
+
+#[test]
+fn recovery_restores_the_logged_eviction_state() {
+    let dev = DeviceSpec::rtx3090();
+    let events = trace_with_revisits();
+    let budget = tight_budget(&events, &dev);
+    let mk_tight = || Front::new(budget, PlanSpec::hybrid(), 1, *mk_front().config());
+    let mut inflated = 0;
+    for k in 0.. {
+        let cfg = scratch(&format!("state-k{k}"));
+        let mut df = DurableFront::create(mk_tight(), cfg.clone()).expect("create the WAL");
+        let scope = CrashScope::install(CrashConfig::at(k));
+        let attempt = df.run(&events, &dev).expect("run to the injected crash");
+        drop(scope);
+        if attempt.crash.is_none() {
+            cleanup(&cfg);
+            assert!(k >= 12, "schedule too small: {k}");
+            break;
+        }
+        let replay = Wal::replay(&cfg.wal_path).expect("the log replays");
+        let (recovered, _) =
+            DurableFront::recover(mk_tight(), cfg.clone(), &events, &dev).expect("recover");
+        cleanup(&cfg);
+        let (state, quarantine) = recovered.front().cache().collect_recoverable_state();
+        match replay.last_marker() {
+            Some(m) => {
+                assert_eq!(state, m.shard_residency, "crash point {k}");
+                assert_eq!(quarantine, m.quarantine, "crash point {k}");
+                inflated += usize::from(m.shard_residency[0].inflation > 0.0);
+            }
+            None => assert!(
+                state.iter().all(|s| s.resident.is_empty()),
+                "crash point {k}"
+            ),
+        }
+    }
+    assert!(
+        inflated > 0,
+        "no crash point restores a raised inflation clock"
+    );
 }
