@@ -1,4 +1,4 @@
-//! Extension: multi-tenant serving load — cohorted front vs uncohorted driver.
+//! Extension: multi-tenant serving load — cohorted front vs the in-order front.
 fn main() {
     let mut c = bench::harness::DatasetCache::new();
     let (text, _) =

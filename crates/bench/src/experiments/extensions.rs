@@ -13,8 +13,8 @@ use std::sync::Arc;
 use baselines::SputnikSpmm;
 use gpu_sim::{DeviceSpec, FaultConfig};
 use graph_sparse::{DatasetId, DenseMatrix, RowWindowPartition};
-use hc_core::{HcSpmm, KernelFamily, Loa, PlanSpec, ResiliencePolicy, SpmmKernel};
-use hc_serve::{BatchDriver, BatchSummary, Outcome, Request};
+use hc_core::{FallbackStep, HcSpmm, KernelFamily, Loa, PlanSpec, ResiliencePolicy, SpmmKernel};
+use hc_serve::{Front, FrontRequest, Outcome, Request, TenantId};
 
 use crate::harness::{f3, DatasetCache, Table};
 
@@ -122,16 +122,10 @@ pub fn plan_cache_amortization(
     // Round-robin mix: every graph repeats ROUNDS times, so with a budget
     // that holds all plans the expected hit rate is (ROUNDS-1)/ROUNDS per
     // graph — 44/48 ≈ 0.917 here.
-    let requests: Vec<Request> = (0..ROUNDS)
-        .flat_map(|round| {
-            graphs.iter().enumerate().map(move |(i, g)| Request {
-                graph: Arc::clone(g),
-                features: DenseMatrix::random_features(g.ncols, 32, (round * ids.len() + i) as u64),
-            })
-        })
-        .collect();
-    let mut driver = BatchDriver::new(1 << 30, PlanSpec::hybrid());
-    let responses = driver.run(&requests, dev);
+    let requests = round_robin(&graphs, ROUNDS);
+    let front = Front::in_order(1 << 30, PlanSpec::hybrid(), ResiliencePolicy::default());
+    let rep = front.run_trace(&requests, dev);
+    let responses = &rep.responses;
 
     // Per-graph preparation cost, read off each graph's miss response.
     let mut prepare_ms = vec![0.0f64; ids.len()];
@@ -171,7 +165,7 @@ pub fn plan_cache_amortization(
             f3(amortized),
         ]);
     }
-    let s = driver.stats();
+    let s = rep.cache;
     let m = PlanCacheMetrics {
         requests: s.requests,
         hits: s.hits,
@@ -193,6 +187,26 @@ pub fn plan_cache_amortization(
         t.render()
     );
     (text, m)
+}
+
+/// `rounds` round-robin passes over `graphs`, one tenant, each request
+/// with its own 32-wide features.
+fn round_robin(graphs: &[Arc<graph_sparse::Csr>], rounds: usize) -> Vec<FrontRequest> {
+    (0..rounds)
+        .flat_map(|round| {
+            graphs.iter().enumerate().map(move |(i, g)| FrontRequest {
+                tenant: TenantId(0),
+                request: Request {
+                    graph: Arc::clone(g),
+                    features: DenseMatrix::random_features(
+                        g.ncols,
+                        32,
+                        (round * graphs.len() + i) as u64,
+                    ),
+                },
+            })
+        })
+        .collect()
 }
 
 /// Chaos-serving counters from [`fault_recovery`]: how a deterministic
@@ -239,25 +253,18 @@ pub fn fault_recovery(
         .iter()
         .map(|&id| Arc::new(cache.get(id).adj.clone()))
         .collect();
-    let requests: Vec<Request> = (0..ROUNDS)
-        .flat_map(|round| {
-            graphs.iter().enumerate().map(move |(i, g)| Request {
-                graph: Arc::clone(g),
-                features: DenseMatrix::random_features(g.ncols, 32, (round * ids.len() + i) as u64),
-            })
-        })
-        .collect();
+    let requests = round_robin(&graphs, ROUNDS);
 
     // Fault-free reference pass, then the same mix under the schedule.
-    let mut clean_driver = BatchDriver::new(1 << 30, PlanSpec::hybrid());
-    let clean = clean_driver.run(&requests, dev);
+    let clean = Front::in_order(1 << 30, PlanSpec::hybrid(), ResiliencePolicy::default())
+        .run_trace(&requests, dev)
+        .responses;
     let policy = ResiliencePolicy {
         faults: FaultConfig::uniform(FAULT_SEED, FAULT_RATE),
         ..Default::default()
     };
-    let mut driver = BatchDriver::with_policy(1 << 30, PlanSpec::hybrid(), policy);
-    let responses = driver.run(&requests, dev);
-    let sum = BatchSummary::of(&responses, KernelFamily::Hybrid);
+    let rep = Front::in_order(1 << 30, PlanSpec::hybrid(), policy).run_trace(&requests, dev);
+    let responses = &rep.responses;
 
     // Ok means "primary family, zero retries, zero faults" — such a result
     // must match the fault-free pass bit for bit.
@@ -303,16 +310,33 @@ pub fn fault_recovery(
             f3(wasted),
         ]);
     }
+    // The run's totals, summed in trace order.
+    let (mut retries, mut fallbacks, mut wasted_sim_ms) = (0u64, 0u64, 0.0f64);
+    for r in responses {
+        wasted_sim_ms += r.wasted_sim_ms;
+        if let Outcome::Degraded {
+            fallback,
+            retries: n,
+            ..
+        } = &r.outcome
+        {
+            retries += u64::from(*n);
+            if *fallback != FallbackStep::Family(KernelFamily::Hybrid) {
+                fallbacks += 1;
+            }
+        }
+    }
+    let c = rep.counters;
     let m = FaultRecoveryMetrics {
-        requests: sum.requests,
-        ok: sum.ok,
-        degraded: sum.degraded,
-        failed: sum.failed,
-        retries: sum.retries,
-        fallbacks: sum.fallbacks,
-        quarantined: driver.stats().quarantined,
-        degraded_rate: sum.degraded_rate(),
-        wasted_sim_ms: sum.wasted_sim_ms,
+        requests: responses.len() as u64,
+        ok: c.ok,
+        degraded: c.degraded,
+        failed: c.failed,
+        retries,
+        fallbacks,
+        quarantined: rep.cache.quarantined,
+        degraded_rate: c.degraded as f64 / responses.len() as f64,
+        wasted_sim_ms,
     };
     let text = format!(
         "Fault recovery (extension): {} requests under a seeded fault schedule \
@@ -433,7 +457,7 @@ pub fn hot_path(cache: &mut DatasetCache, dev: &DeviceSpec) -> (String, HotPathM
 /// Serving-load counters from [`serving_load`]: what the cohorting
 /// front-end did to a multi-tenant request mix — admission shedding,
 /// cohort formation, latency percentiles, and the amortized per-request
-/// simulated cost vs. the uncohorted in-order driver.
+/// simulated cost vs. the uncohorted in-order front.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServingLoadMetrics {
     /// Trace entries ingested.
@@ -457,16 +481,16 @@ pub struct ServingLoadMetrics {
     /// Mean simulated cost (prepare + exec + wasted) per admitted entry
     /// through the cohorting front, ms.
     pub amortized_sim_ms: f64,
-    /// The same mix through the uncohorted in-order `BatchDriver`, ms
-    /// per request — the control the front must beat.
+    /// The same admitted mix through the in-order front (no cohorts), ms
+    /// per request — the control the cohorting front must beat.
     pub uncohorted_sim_ms: f64,
     /// Per-tenant admission and SLO accounting, ordered by tenant id.
     pub tenants: Vec<hc_serve::TenantStats>,
 }
 
 /// Serving-load: a multi-tenant request mix through the cohorting
-/// [`Front`] vs. the same admitted mix through the uncohorted in-order
-/// [`BatchDriver`], both under a cache budget one byte short of the
+/// [`Front`] vs. the same admitted mix through the uncohorted
+/// [`Front::in_order`], both under a cache budget one byte short of the
 /// structure working set, so one plan is always out. The structures
 /// arrive in a cycle, recency eviction's worst case; the cost-aware
 /// cache keeps the plans costliest to rebuild per byte, so each side
@@ -477,7 +501,7 @@ pub struct ServingLoadMetrics {
 /// printed body carries only deterministic counters and simulated times.
 pub fn serving_load(cache: &mut DatasetCache, dev: &DeviceSpec) -> (String, ServingLoadMetrics) {
     use hc_core::Plan;
-    use hc_serve::{Front, FrontConfig, FrontRequest, TenantId};
+    use hc_serve::FrontConfig;
     const EPOCHS: usize = 6;
     const EPOCH_LEN: usize = 16;
     let ids = [DatasetId::CR, DatasetId::PM, DatasetId::PT, DatasetId::AZ];
@@ -535,24 +559,20 @@ pub fn serving_load(cache: &mut DatasetCache, dev: &DeviceSpec) -> (String, Serv
     let rep = front.run_trace(&trace, dev);
 
     // Uncohorted control: the *admitted* mix, in trace order, through the
-    // in-order BatchDriver under the identical budget.
+    // in-order front under the identical budget.
     let admitted: Vec<&hc_serve::FrontResponse> =
         rep.responses.iter().filter(|r| !r.is_rejected()).collect();
-    let control_reqs: Vec<Request> = admitted
+    let control_trace: Vec<FrontRequest> = admitted
         .iter()
-        .map(|r| trace[r.trace_index].request.clone())
+        .map(|r| trace[r.trace_index].clone())
         .collect();
-    let mut driver = BatchDriver::new(budget, PlanSpec::hybrid());
-    let control = driver.run(&control_reqs, dev);
-    let uncohorted_sim_ms = control
-        .iter()
-        .map(|r| r.prepare_sim_ms + r.exec_sim_ms + r.wasted_sim_ms)
-        .sum::<f64>()
-        / control.len() as f64;
+    let control = Front::in_order(budget, PlanSpec::hybrid(), ResiliencePolicy::default())
+        .run_trace(&control_trace, dev);
+    let uncohorted_sim_ms = control.amortized_sim_ms();
     let bit_exact = admitted
         .iter()
-        .zip(&control)
-        .all(|(f, c)| f.z() == c.outcome.z());
+        .zip(&control.responses)
+        .all(|(f, c)| f.z() == c.z());
 
     let mut t = Table::new(&[
         "tenant",

@@ -19,7 +19,7 @@ use graph_sparse::{gen, Csr, DenseMatrix};
 use hc_core::{
     CudaSpmm, HcSpmm, PlanSpec, ResiliencePolicy, SpmmKernel, StraightforwardHybrid, TensorSpmm,
 };
-use hc_serve::{BatchDriver, CacheStats, Outcome, Request};
+use hc_serve::{CacheStats, Front, FrontRequest, Outcome, Request, TenantId};
 
 #[test]
 fn kernel_outputs_bit_identical_across_thread_counts() {
@@ -57,7 +57,7 @@ fn kernel_outputs_bit_identical_across_thread_counts() {
         }
     }
 
-    // The batched serving driver inherits the same guarantee: a request
+    // The in-order serving front inherits the same guarantee: a request
     // stream served through the plan cache yields bit-identical outputs,
     // hit flags and cache counters at any worker count. Eviction pressure
     // included — a tight budget exercises eviction victim selection, which
@@ -68,25 +68,28 @@ fn kernel_outputs_bit_identical_across_thread_counts() {
         Arc::new(gen::molecules(600, 1_400, 23)),
     ];
     // a, b, a, c, c, b, a, …: repeats so the cache sees hits.
-    let requests: Vec<Request> = [0usize, 1, 0, 2, 2, 1, 0, 1, 2, 0]
+    let requests: Vec<FrontRequest> = [0usize, 1, 0, 2, 2, 1, 0, 1, 2, 0]
         .iter()
         .enumerate()
-        .map(|(i, &g)| Request {
-            graph: Arc::clone(&serve_graphs[g]),
-            features: DenseMatrix::random_features(serve_graphs[g].ncols, 16, i as u64),
+        .map(|(i, &g)| FrontRequest {
+            tenant: TenantId(0),
+            request: Request {
+                graph: Arc::clone(&serve_graphs[g]),
+                features: DenseMatrix::random_features(serve_graphs[g].ncols, 16, i as u64),
+            },
         })
         .collect();
     let serve_batch = |threads: usize, budget: u64| -> (Vec<DenseMatrix>, Vec<bool>, CacheStats) {
         hc_parallel::set_threads(threads);
-        let mut driver = BatchDriver::new(budget, PlanSpec::hybrid());
-        let responses = driver.run(&requests, &dev);
+        let front = Front::in_order(budget, PlanSpec::hybrid(), ResiliencePolicy::default());
+        let rep = front.run_trace(&requests, &dev);
         (
-            responses
+            rep.responses
                 .iter()
                 .map(|r| r.z().expect("faults off: every request serves").clone())
                 .collect(),
-            responses.iter().map(|r| r.hit).collect(),
-            driver.stats(),
+            rep.responses.iter().map(|r| r.hit).collect(),
+            rep.cache,
         )
     };
     // Second budget fits roughly one plan, forcing evictions mid-stream.
@@ -99,7 +102,7 @@ fn kernel_outputs_bit_identical_across_thread_counts() {
             let (z, hits, stats) = serve_batch(threads, budget);
             assert_eq!(
                 z1, z,
-                "batched driver outputs at {threads} threads differ from single-thread \
+                "in-order front outputs at {threads} threads differ from single-thread \
                  (budget {budget})"
             );
             assert_eq!(hits1, hits, "hit pattern changed with thread count");
@@ -107,22 +110,22 @@ fn kernel_outputs_bit_identical_across_thread_counts() {
         }
     }
     // Fault schedules must be thread-count-deterministic too: decisions
-    // are a pure function of (seed, launch index) and launches happen on
-    // the driving thread only, so the same chaos batch produces identical
-    // outcomes, retry counts, fallback choices, wasted time and cache
-    // counters (quarantines included) at 1, 2 and 8 threads.
+    // are a pure function of (seed, launch index) and a request's
+    // launches all happen on the one front worker that serves it, so the
+    // same chaos batch produces identical outcomes, retry counts,
+    // fallback choices, wasted time and cache counters (quarantines
+    // included) at 1, 2 and 8 threads.
     let chaos_batch = |threads: usize, seed: u64, rate: f64| {
         hc_parallel::set_threads(threads);
         let policy = ResiliencePolicy {
             faults: FaultConfig::uniform(seed, rate),
             ..Default::default()
         };
-        let mut driver = BatchDriver::with_policy(u64::MAX, PlanSpec::hybrid(), policy);
-        let responses = driver.run(&requests, &dev);
-        let outcomes: Vec<Outcome> = responses.iter().map(|r| r.outcome.clone()).collect();
-        let wasted: Vec<f64> = responses.iter().map(|r| r.wasted_sim_ms).collect();
-        let hits: Vec<bool> = responses.iter().map(|r| r.hit).collect();
-        (outcomes, wasted, hits, driver.stats())
+        let rep = Front::in_order(u64::MAX, PlanSpec::hybrid(), policy).run_trace(&requests, &dev);
+        let outcomes: Vec<Outcome> = rep.responses.iter().map(|r| r.outcome.clone()).collect();
+        let wasted: Vec<f64> = rep.responses.iter().map(|r| r.wasted_sim_ms).collect();
+        let hits: Vec<bool> = rep.responses.iter().map(|r| r.hit).collect();
+        (outcomes, wasted, hits, rep.cache)
     };
     // Churn: the incremental re-plan path is thread-count-deterministic
     // too. Patching a plan and executing it must produce the same bit

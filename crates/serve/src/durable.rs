@@ -641,7 +641,7 @@ impl EpochSink for DurableSink<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::Request;
+    use crate::front::Request;
     use crate::front::{FrontConfig, FrontRequest, TenantId};
     use graph_sparse::{gen, DenseMatrix};
 

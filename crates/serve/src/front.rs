@@ -31,9 +31,10 @@
 //!    sequentially on the scheduler thread so cache counters and
 //!    eviction state are identical at any worker count.
 //! 4. **Execution** — cohorts stream through a bounded channel to
-//!    `workers` threads; each cohort runs on one worker, members in
-//!    arrival order through the shared plan, every member under its own
-//!    trace-indexed fault stream. A fault mid-cohort degrades only the
+//!    `workers` threads (an epoch that needs only one worker runs its
+//!    cohorts on the scheduler thread instead); each cohort runs on one
+//!    worker, members in arrival order through the shared plan, every
+//!    member under its own trace-indexed fault stream. A fault mid-cohort degrades only the
 //!    implicated member; poisoned plans are quarantined after the epoch
 //!    barrier (scheduler thread, cohort order — deterministic counters).
 //!
@@ -56,8 +57,17 @@
 //! queueing is *not* modeled as latency; queue pressure is modeled as
 //! admission rejection instead, which keeps the metric independent of
 //! the worker count. Preparation cost is *charged* once per cohort (to
-//! its first member) for amortized-cost accounting, mirroring
-//! [`BatchDriver`]'s miss accounting.
+//! its first member) for amortized-cost accounting; a cohort of one is
+//! charged exactly what its miss cost.
+//!
+//! ## In-order serving
+//!
+//! [`Front::in_order`] is the same engine with one cache shard, epochs
+//! of one arrival and cohorts of one member: every request resolves,
+//! executes and quarantines before the next is admitted, which is what a
+//! sequential plan-cache loop does. `max_cohort = 1` alone would not do
+//! it: a larger epoch groups its arrivals by structure before chunking,
+//! and defers quarantine to its barrier.
 //!
 //! ## Lock order
 //!
@@ -76,12 +86,14 @@ use std::time::Instant;
 
 use gpu_sim::DeviceSpec;
 use graph_sparse::{Csr, CsrError, DeltaCsr, DenseMatrix, StructureFingerprint};
-use hc_core::{HcError, OverloadReason, PlanSpec, ResiliencePolicy};
+use hc_core::{
+    execute_resilient_keyed, FallbackStep, HcError, KernelFamily, OverloadReason, Plan, PlanSpec,
+    ResiliencePolicy,
+};
 use hc_parallel::sync::channel::Bounded;
 use hc_parallel::sync::{thread, Mutex};
 
 use crate::cache::CacheStats;
-use crate::driver::{check_shape, execute_planned, Outcome, Request};
 use crate::shared::{SharedPlanCache, SwapOutcome};
 
 /// Opaque tenant identifier. Quotas and SLO accounting key on it.
@@ -91,6 +103,66 @@ pub struct TenantId(pub u32);
 impl std::fmt::Display for TenantId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "t{}", self.0)
+    }
+}
+
+/// One serving request: a graph and the dense feature matrix to multiply.
+#[derive(Clone)]
+pub struct Request {
+    /// Adjacency (or propagation) matrix. `Arc` so request mixes can
+    /// repeat a graph without cloning its arrays.
+    pub graph: Arc<Csr>,
+    /// Dense right-hand side (`graph.ncols` rows).
+    pub features: DenseMatrix,
+}
+
+/// How one request ended: the serving layer's graceful-degradation
+/// contract. `Ok` and `Degraded` both carry a result that is bit-identical
+/// to a fault-free execution of the family that produced it; `Failed`
+/// carries a typed error. Nothing panics.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Outcome {
+    /// Served by the primary kernel family, first try.
+    Ok(DenseMatrix),
+    /// Served, but not cleanly: retries were needed and/or a fallback
+    /// step produced the result.
+    Degraded {
+        /// The SpMM result (from the `fallback` step).
+        z: DenseMatrix,
+        /// The chain step that produced the surviving result.
+        fallback: FallbackStep,
+        /// Attempts beyond the first, across all steps.
+        retries: u32,
+    },
+    /// The request could not be served.
+    Failed(HcError),
+}
+
+impl Outcome {
+    /// The result matrix, when one was produced.
+    pub fn z(&self) -> Option<&DenseMatrix> {
+        match self {
+            Outcome::Ok(z) | Outcome::Degraded { z, .. } => Some(z),
+            Outcome::Failed(_) => None,
+        }
+    }
+
+    /// True for [`Outcome::Degraded`].
+    pub fn is_degraded(&self) -> bool {
+        matches!(self, Outcome::Degraded { .. })
+    }
+
+    /// True for [`Outcome::Failed`].
+    pub fn is_failed(&self) -> bool {
+        matches!(self, Outcome::Failed(_))
+    }
+
+    /// The error, for [`Outcome::Failed`].
+    pub fn error(&self) -> Option<&HcError> {
+        match self {
+            Outcome::Failed(e) => Some(e),
+            _ => None,
+        }
     }
 }
 
@@ -123,6 +195,35 @@ pub enum FrontEvent {
     Serve(FrontRequest),
     /// Apply a structure mutation (bypasses queue and quotas).
     Mutate(Mutation),
+}
+
+/// One trace entry as the engine reads it, borrowed from the caller's
+/// trace.
+#[derive(Clone, Copy)]
+pub(crate) enum ArrivalRef<'t> {
+    Serve(&'t FrontRequest),
+    Mutate(&'t Mutation),
+}
+
+/// A trace entry the engine reads in place, so a request trace and an
+/// event trace both reach it without copying a request.
+pub(crate) trait Arrival {
+    fn arrival(&self) -> ArrivalRef<'_>;
+}
+
+impl Arrival for FrontRequest {
+    fn arrival(&self) -> ArrivalRef<'_> {
+        ArrivalRef::Serve(self)
+    }
+}
+
+impl Arrival for FrontEvent {
+    fn arrival(&self) -> ArrivalRef<'_> {
+        match self {
+            FrontEvent::Serve(fr) => ArrivalRef::Serve(fr),
+            FrontEvent::Mutate(m) => ArrivalRef::Mutate(m),
+        }
+    }
 }
 
 /// What the front did with one [`Mutation`], in trace order. The old
@@ -169,7 +270,8 @@ pub struct FrontConfig {
     /// Per-request SLO threshold on simulated latency, in ms.
     pub slo_sim_ms: f64,
     /// Retry/fallback/validation policy; its fault schedule is re-seeded
-    /// per trace index, exactly like [`BatchDriver`].
+    /// per trace index, so a request's fault draws do not depend on the
+    /// epoch or cohort it lands in.
     pub policy: ResiliencePolicy,
 }
 
@@ -406,6 +508,69 @@ impl<'t> Screen<'t> {
     }
 }
 
+/// The per-request half of the screen: the feature matrix must have one
+/// row per graph column. The graph itself is validated once per call by
+/// the [`Screen`].
+fn check_shape(req: &Request) -> Result<(), HcError> {
+    if req.features.rows != req.graph.ncols {
+        return Err(HcError::ShapeMismatch {
+            expected_rows: req.graph.ncols,
+            got_rows: req.features.rows,
+        });
+    }
+    Ok(())
+}
+
+/// What [`execute_planned`] observed: the outcome plus the simulated-time
+/// and poisoning facts the caller needs to finish its accounting.
+struct Executed {
+    outcome: Outcome,
+    /// Simulated ms of the surviving execution (0 on failure / CPU ref).
+    exec_sim_ms: f64,
+    /// Simulated ms of discarded (faulted or invalid) attempts.
+    wasted_sim_ms: f64,
+    /// Whether the plan was implicated in a fault and must be
+    /// quarantined by the caller.
+    poisoned: bool,
+}
+
+/// The post-lookup half of serving: run one request through an
+/// already-resolved plan under `policy` (whose fault schedule the caller
+/// has re-seeded) and classify the result against `primary`. `graph_fp`
+/// is `graph`'s fingerprint, already computed by the caller's screen.
+/// Pure with respect to the caller's caches — quarantine is the caller's
+/// job, via [`Executed::poisoned`].
+fn execute_planned(
+    plan: &Plan,
+    graph: &Csr,
+    graph_fp: StructureFingerprint,
+    features: &DenseMatrix,
+    dev: &DeviceSpec,
+    policy: &ResiliencePolicy,
+    primary: KernelFamily,
+) -> Executed {
+    let run = execute_resilient_keyed(plan, graph, graph_fp, features, dev, policy);
+    let degraded = run.degraded(primary);
+    let (outcome, exec_sim_ms) = match run.result {
+        Ok(r) if degraded => (
+            Outcome::Degraded {
+                z: r.z,
+                fallback: run.executed,
+                retries: run.retries,
+            },
+            r.run.time_ms,
+        ),
+        Ok(r) => (Outcome::Ok(r.z), r.run.time_ms),
+        Err(e) => (Outcome::Failed(e), 0.0),
+    };
+    Executed {
+        outcome,
+        exec_sim_ms,
+        wasted_sim_ms: run.wasted_sim_ms,
+        poisoned: run.poisoned,
+    }
+}
+
 /// A resolved cohort queued for execution: one plan, the member
 /// requests in arrival order.
 struct CohortJob<'t> {
@@ -417,6 +582,54 @@ struct CohortJob<'t> {
     /// Full preparation cost when this cohort missed, else 0.
     prepare_ms: f64,
     members: Vec<(usize, &'t FrontRequest)>,
+}
+
+/// Run one cohort: its members in arrival order through the shared plan,
+/// each under its own trace-indexed fault stream. A member waits for the
+/// plan and for the members ahead of it on the shared workspace (module
+/// docs: latency model).
+fn execute_cohort(
+    job: CohortJob<'_>,
+    policy: &ResiliencePolicy,
+    dev: &DeviceSpec,
+    primary: KernelFamily,
+) -> CohortDone {
+    let mut outs = Vec::with_capacity(job.members.len());
+    let mut poisoned = false;
+    let mut queued = job.prepare_ms;
+    for (k, &(ti, fr)) in job.members.iter().enumerate() {
+        let mut member_policy = *policy;
+        member_policy.faults = policy.faults.stream(ti as u64);
+        let ex = execute_planned(
+            &job.plan,
+            &fr.request.graph,
+            job.fp,
+            &fr.request.features,
+            dev,
+            &member_policy,
+            primary,
+        );
+        poisoned |= ex.poisoned;
+        queued += ex.exec_sim_ms + ex.wasted_sim_ms;
+        outs.push(MemberOut {
+            trace_index: ti,
+            tenant: fr.tenant,
+            outcome: ex.outcome,
+            exec_sim_ms: ex.exec_sim_ms,
+            prepare_sim_ms: if k == 0 { job.prepare_ms } else { 0.0 },
+            wasted_sim_ms: ex.wasted_sim_ms,
+            latency_sim_ms: queued,
+        });
+    }
+    CohortDone {
+        id: job.id,
+        hit: job.hit,
+        stale: job.stale,
+        fp: job.fp,
+        size: job.members.len(),
+        poisoned,
+        outs,
+    }
 }
 
 /// Closes the cohort channel when a worker unwinds. Without it, once every
@@ -436,6 +649,7 @@ impl<T> Drop for CloseOnPanic<'_, T> {
 /// One member's execution record, produced on a worker.
 struct MemberOut {
     trace_index: usize,
+    tenant: TenantId,
     outcome: Outcome,
     exec_sim_ms: f64,
     prepare_sim_ms: f64,
@@ -555,6 +769,28 @@ impl Front {
         Front { cache, cfg }
     }
 
+    /// The in-order front: one cache shard, epochs of one arrival and
+    /// cohorts of one member. Each request resolves its plan, executes,
+    /// and has a poisoned plan quarantined at its own epoch barrier before
+    /// the next request is admitted, so the cache sees the lookup sequence
+    /// of a sequential `get_or_prepare` loop and every response depends
+    /// only on the requests before it. Nothing is shed: a one-arrival
+    /// epoch never exceeds a queue or a quota.
+    pub fn in_order(cache_bytes: u64, spec: PlanSpec, policy: ResiliencePolicy) -> Front {
+        Front::new(
+            cache_bytes,
+            spec,
+            1,
+            FrontConfig {
+                workers: 1,
+                arrivals_per_epoch: 1,
+                max_cohort: 1,
+                policy,
+                ..FrontConfig::default()
+            },
+        )
+    }
+
     /// The underlying plan cache.
     pub fn cache(&self) -> &SharedPlanCache {
         &self.cache
@@ -570,10 +806,9 @@ impl Front {
     /// every trace entry comes back with a typed outcome, in trace
     /// order. Deterministic at any worker count (module docs).
     /// Equivalent to [`run_events`](Front::run_events) over a trace with
-    /// no mutations.
+    /// no mutations; the engine reads the requests in place.
     pub fn run_trace(&self, trace: &[FrontRequest], dev: &DeviceSpec) -> FrontReport {
-        let events: Vec<FrontEvent> = trace.iter().cloned().map(FrontEvent::Serve).collect();
-        self.run_events(&events, dev)
+        self.collect(trace, dev)
     }
 
     /// Serve a mixed trace of data-plane requests and control-plane
@@ -593,10 +828,16 @@ impl Front {
     /// mutation affects every request of its own epoch regardless of
     /// relative position within the epoch.
     pub fn run_events(&self, events: &[FrontEvent], dev: &DeviceSpec) -> FrontReport {
+        self.collect(events, dev)
+    }
+
+    /// One whole serving call: the engine from epoch 0 into a collecting
+    /// sink, then the report.
+    fn collect<A: Arrival>(&self, trace: &[A], dev: &DeviceSpec) -> FrontReport {
         let t0 = Instant::now();
         let mut sink = CollectSink::default();
         let counters = match self.run_events_from(
-            events,
+            trace,
             dev,
             0,
             FrontCounters::default(),
@@ -625,9 +866,9 @@ impl Front {
     /// `screen` validates and fingerprints each distinct graph `Arc` in
     /// `events` once; the durability layer passes the screen it already
     /// filled while collecting the trace's graphs.
-    pub(crate) fn run_events_from<'t, S: EpochSink>(
+    pub(crate) fn run_events_from<'t, A: Arrival, S: EpochSink>(
         &self,
-        events: &'t [FrontEvent],
+        events: &'t [A],
         dev: &DeviceSpec,
         start_epoch: usize,
         counters_seed: FrontCounters,
@@ -665,9 +906,9 @@ impl Front {
             let mut per_tenant: HashMap<TenantId, usize> = HashMap::new();
             for (off, ev) in arrivals.iter().enumerate() {
                 let ti = base + off;
-                let fr = match ev {
-                    FrontEvent::Serve(fr) => fr,
-                    FrontEvent::Mutate(m) => {
+                let fr = match ev.arrival() {
+                    ArrivalRef::Serve(fr) => fr,
+                    ArrivalRef::Mutate(m) => {
                         counters.mutations += 1;
                         let base_fp = screen.graph(&m.base);
                         if let Ok(fp) = base_fp {
@@ -773,8 +1014,10 @@ impl Front {
                 }
             }
 
-            // --- Execution: cohorts stream through a bounded channel to
-            // the workers; the epoch barrier is the scope join.
+            // --- Execution: an epoch that needs one worker runs its
+            // cohorts on the scheduler thread; otherwise cohorts stream
+            // through a bounded channel to the workers and the epoch
+            // barrier is the scope join.
             let primary = self.cache.spec().family;
             let n_workers = if cfg.workers == 0 {
                 thread::available_parallelism()
@@ -783,55 +1026,23 @@ impl Front {
             }
             .min(jobs.len())
             .max(1);
-            let done: Mutex<Vec<CohortDone>> = Mutex::named("front-results", Vec::new());
-            if !jobs.is_empty() {
+            let mut finished: Vec<CohortDone> = if n_workers == 1 {
+                jobs.into_iter()
+                    .map(|job| execute_cohort(job, &cfg.policy, dev, primary))
+                    .collect()
+            } else {
+                let done: Mutex<Vec<CohortDone>> = Mutex::named("front-results", Vec::new());
                 let chan: Bounded<CohortJob<'_>> = Bounded::new(n_workers, "front-queue");
                 thread::scope(|s| {
-                    let (chan, done, dev) = (&chan, &done, &dev);
+                    let (chan, done, policy) = (&chan, &done, &cfg.policy);
                     for _ in 0..n_workers {
                         s.spawn(move |_| {
                             let _close = CloseOnPanic(chan);
                             while let Some(job) = chan.recv() {
-                                let mut outs = Vec::with_capacity(job.members.len());
-                                let mut poisoned = false;
-                                // Members wait for the plan and for the
-                                // members ahead of them on the shared
-                                // workspace (module docs).
-                                let mut queued = job.prepare_ms;
-                                for (k, &(ti, fr)) in job.members.iter().enumerate() {
-                                    let mut policy = cfg.policy;
-                                    policy.faults = cfg.policy.faults.stream(ti as u64);
-                                    let ex = execute_planned(
-                                        &job.plan,
-                                        &fr.request.graph,
-                                        job.fp,
-                                        &fr.request.features,
-                                        dev,
-                                        &policy,
-                                        primary,
-                                    );
-                                    poisoned |= ex.poisoned;
-                                    queued += ex.exec_sim_ms + ex.wasted_sim_ms;
-                                    outs.push(MemberOut {
-                                        trace_index: ti,
-                                        outcome: ex.outcome,
-                                        exec_sim_ms: ex.exec_sim_ms,
-                                        prepare_sim_ms: if k == 0 { job.prepare_ms } else { 0.0 },
-                                        wasted_sim_ms: ex.wasted_sim_ms,
-                                        latency_sim_ms: queued,
-                                    });
-                                }
+                                let cohort = execute_cohort(job, policy, dev, primary);
                                 // Results lock is taken only after device
                                 // execution returned (hazard discipline).
-                                done.lock().push(CohortDone {
-                                    id: job.id,
-                                    hit: job.hit,
-                                    stale: job.stale,
-                                    fp: job.fp,
-                                    size: job.members.len(),
-                                    poisoned,
-                                    outs,
-                                });
+                                done.lock().push(cohort);
                             }
                         });
                     }
@@ -845,11 +1056,11 @@ impl Front {
                     chan.close();
                 })
                 .expect("front workers must not panic");
-            }
+                done.into_inner()
+            };
 
             // --- Collection: cohort order, scheduler thread. Quarantine
             // poisoned plans here so registry counters are deterministic.
-            let mut finished = done.into_inner();
             finished.sort_by_key(|c| c.id);
             for c in finished {
                 if c.poisoned {
@@ -861,12 +1072,8 @@ impl Front {
                     if c.stale {
                         counters.stale_served += 1;
                     }
-                    let tenant = match &events[out.trace_index] {
-                        FrontEvent::Serve(fr) => fr.tenant,
-                        FrontEvent::Mutate(_) => unreachable!("mutations never join cohorts"),
-                    };
                     slots[out.trace_index - base] = Some(FrontResponse {
-                        tenant,
+                        tenant: out.tenant,
                         trace_index: out.trace_index,
                         epoch,
                         outcome: out.outcome,
@@ -947,9 +1154,9 @@ impl Front {
             let responses = slots
                 .drain(..)
                 .zip(arrivals)
-                .filter_map(|(s, ev)| match ev {
-                    FrontEvent::Serve(_) => Some(s.expect("every serve event produces a response")),
-                    FrontEvent::Mutate(_) => None,
+                .filter_map(|(s, ev)| match ev.arrival() {
+                    ArrivalRef::Serve(_) => Some(s.expect("every serve event produces a response")),
+                    ArrivalRef::Mutate(_) => None,
                 })
                 .collect();
             sink.epoch_end(EpochEnd {

@@ -1,4 +1,4 @@
-//! # hc-serve — structure-keyed plan cache and batched serving driver
+//! # hc-serve — structure-keyed plan cache and serving front-end
 //!
 //! First piece of the serving architecture on the ROADMAP: HC-SpMM's
 //! preprocessing is only worth its ≈13×-one-SpMM cost (Appendix F) when
@@ -8,20 +8,19 @@
 //! * [`PlanCache`] — maps [`graph_sparse::StructureFingerprint`] →
 //!   prepared [`hc_core::Plan`] under a byte budget with cost-aware
 //!   GreedyDual-Size-Frequency eviction and hit/miss/eviction counters;
-//! * [`BatchDriver`] — runs a stream of (graph, feature-matrix)
-//!   [`Request`]s through cached plans on the `hc-parallel` pool, each
-//!   request executed resiliently: retry, kernel-family fallback and typed
-//!   per-request [`Outcome`]s instead of panics, with fault-implicated
-//!   plans quarantined in the cache;
 //! * [`SharedPlanCache`] — the concurrent, sharded version of the cache
 //!   (fingerprint-addressed lanes + global quarantine registry) that many
 //!   threads hit at once;
-//! * [`Front`] — the multi-tenant serving front-end over the shared
-//!   cache: epoch-batched admission with per-tenant quotas and a bounded
-//!   queue (typed `Overloaded` shedding), structure-fingerprint *cohorts*
-//!   that amortize one preparation across every in-flight request on the
-//!   same graph, parallel cohort execution over worker threads, and
-//!   p50/p99 + per-tenant SLO accounting.
+//! * [`Front`] — the one request executor, over the shared cache:
+//!   epoch-batched admission with per-tenant quotas and a bounded queue
+//!   (typed `Overloaded` shedding), structure-fingerprint *cohorts* that
+//!   amortize one preparation across every in-flight request on the same
+//!   graph, parallel cohort execution over worker threads, and p50/p99 +
+//!   per-tenant SLO accounting. Every [`Request`] executes resiliently:
+//!   retry, kernel-family fallback and a typed per-request [`Outcome`]
+//!   instead of a panic, with fault-implicated plans quarantined in the
+//!   cache. [`Front::in_order`] serves a stream strictly in sequence (one
+//!   shard, one-arrival epochs), the way a plain plan-cache loop would.
 //!
 //! Requests are served in deterministic order at every layer: outputs,
 //! cache counters, cohort assignments and simulated latencies are
@@ -39,7 +38,6 @@
 
 pub mod cache;
 mod codec;
-pub mod driver;
 pub mod durable;
 pub mod front;
 pub mod shared;
@@ -47,13 +45,12 @@ pub mod snapshot;
 pub mod wal;
 
 pub use cache::{CacheStats, PlanCache, ResidentEntry, ShardState};
-pub use driver::{BatchDriver, BatchSummary, Outcome, Request, Response};
 pub use durable::{
     run_to_completion, DurabilityConfig, DurableFront, RecoveryStats, RunAttempt, RunOutcome,
 };
 pub use front::{
     Front, FrontConfig, FrontCounters, FrontEvent, FrontReport, FrontRequest, FrontResponse,
-    LatencyStats, Mutation, MutationOutcome, TenantId, TenantStats,
+    LatencyStats, Mutation, MutationOutcome, Outcome, Request, TenantId, TenantStats,
 };
 pub use shared::{Lookup, SharedPlanCache, SwapOutcome};
 pub use snapshot::Snapshot;

@@ -8,9 +8,10 @@ use std::sync::Arc;
 
 use gpu_sim::DeviceSpec;
 use graph_sparse::{gen, io, Csr, DenseMatrix};
+use hc_core::ResiliencePolicy;
 use hc_core::{KernelFamily, Plan, PlanSpec};
 use hc_parallel::sync::thread;
-use hc_serve::{BatchDriver, PlanCache, Request, SharedPlanCache};
+use hc_serve::{Front, FrontRequest, PlanCache, Request, SharedPlanCache, TenantId};
 
 fn karate() -> Csr {
     io::read_edge_list_file(concat!(
@@ -172,19 +173,22 @@ fn eviction_and_reprepare_keep_outputs_bit_identical() {
         .map(|g| Plan::prepare(g, spec, &dev).approx_bytes())
         .collect();
     let budget = sizes.iter().max().unwrap() + sizes.iter().min().unwrap();
-    let mut driver = BatchDriver::new(budget, spec);
+    let front = Front::in_order(budget, spec, ResiliencePolicy::default());
 
-    let requests: Vec<Request> = (0..3)
+    let requests: Vec<FrontRequest> = (0..3)
         .flat_map(|round| {
-            graphs.iter().enumerate().map(move |(i, g)| Request {
-                graph: Arc::clone(g),
-                features: DenseMatrix::random_features(g.ncols, 8, (round * 10 + i) as u64),
+            graphs.iter().enumerate().map(move |(i, g)| FrontRequest {
+                tenant: TenantId(0),
+                request: Request {
+                    graph: Arc::clone(g),
+                    features: DenseMatrix::random_features(g.ncols, 8, (round * 10 + i) as u64),
+                },
             })
         })
         .collect();
-    let responses = driver.run(&requests, &dev);
+    let rep = front.run_trace(&requests, &dev);
 
-    let stats = driver.stats();
+    let stats = rep.cache;
     assert_eq!(stats.requests, requests.len() as u64);
     assert_eq!(stats.hits + stats.misses, stats.requests);
     assert_eq!(stats.rejected, 0, "every plan fits the budget individually");
@@ -193,8 +197,8 @@ fn eviction_and_reprepare_keep_outputs_bit_identical() {
         "budget was meant to force evictions; got {stats:?}"
     );
 
-    for (req, resp) in requests.iter().zip(&responses) {
-        let want = cold(&req.graph, &req.features, spec, &dev);
+    for (req, resp) in requests.iter().zip(&rep.responses) {
+        let want = cold(&req.request.graph, &req.request.features, spec, &dev);
         assert_eq!(
             resp.z().expect("faults off: every request serves"),
             &want,

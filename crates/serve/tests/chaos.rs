@@ -1,6 +1,9 @@
-//! Chaos suite: randomized fault schedules against the batched driver.
+//! Chaos suite: randomized fault schedules against the serving front.
 //!
-//! The serving contract under test:
+//! Every property draws the front's shape as well as its faults: the
+//! in-order front ([`Front::in_order`]: one shard, one-arrival epochs) or
+//! a cohorted one (several arrivals per epoch, cohorts of up to two
+//! members, two workers, two shards). The serving contract under test:
 //!
 //! * with faults **disabled**, the resilient path is bit-identical to the
 //!   plain one (resilience is free when nothing fails);
@@ -9,7 +12,8 @@
 //!   (`Ok`/`Degraded`) or a typed error (`Failed`) — the process never
 //!   panics;
 //! * once a structure is quarantined, no request for it ever hits the
-//!   cache again.
+//!   cache again: a structure quarantined before epoch e never hits in
+//!   epoch e or later.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -17,7 +21,7 @@ use std::sync::Arc;
 use gpu_sim::{DeviceSpec, FaultConfig};
 use graph_sparse::{gen, Csr, DenseMatrix, StructureFingerprint};
 use hc_core::{FallbackStep, KernelFamily, PlanSpec, ResiliencePolicy};
-use hc_serve::{BatchDriver, Outcome, Request};
+use hc_serve::{Front, FrontConfig, FrontRequest, Outcome, Request, TenantId};
 use proptest::prelude::*;
 
 fn graphs() -> Vec<Arc<Csr>> {
@@ -28,16 +32,44 @@ fn graphs() -> Vec<Arc<Csr>> {
     ]
 }
 
-fn requests(n: usize) -> Vec<Request> {
+fn requests(n: usize) -> Vec<FrontRequest> {
     let gs = graphs();
     (0..n)
         .map(|i| {
             let g = Arc::clone(&gs[i % gs.len()]);
-            Request {
-                features: DenseMatrix::random_features(g.ncols, 8, 100 + i as u64),
-                graph: g,
+            FrontRequest {
+                tenant: TenantId((i % 3) as u32),
+                request: Request {
+                    features: DenseMatrix::random_features(g.ncols, 8, 100 + i as u64),
+                    graph: g,
+                },
             }
         })
+        .collect()
+}
+
+/// The front in shape 0 (in order) or 1 (cohorted: epochs of seven
+/// arrivals, so a structure arriving three times in one epoch splits
+/// into a cohort of two and one of one).
+fn front(shape: usize, budget: u64, spec: PlanSpec, policy: ResiliencePolicy) -> Front {
+    if shape == 0 {
+        return Front::in_order(budget, spec, policy);
+    }
+    let cfg = FrontConfig {
+        workers: 2,
+        arrivals_per_epoch: 7,
+        max_cohort: 2,
+        policy,
+        ..FrontConfig::default()
+    };
+    Front::new(budget, spec, 2, cfg)
+}
+
+fn quarantined(front: &Front) -> HashSet<StructureFingerprint> {
+    graphs()
+        .iter()
+        .map(|g| StructureFingerprint::of(g))
+        .filter(|&fp| front.cache().is_quarantined(fp))
         .collect()
 }
 
@@ -54,6 +86,7 @@ proptest! {
         family_ix in 0usize..4,
         retries in 0u32..3,
         budget_ix in 0usize..2,
+        shape in 0usize..2,
     ) {
         let dev = DeviceSpec::rtx3090();
         let family = KernelFamily::ALL[family_ix];
@@ -64,15 +97,27 @@ proptest! {
             faults: FaultConfig::uniform(seed, rate),
             ..Default::default()
         };
-        let reqs = requests(9);
+        let trace = requests(9);
+        let reqs: Vec<&Request> = trace.iter().map(|fr| &fr.request).collect();
 
-        let mut driver = BatchDriver::with_policy(budget, spec, policy);
-        let mut quarantined_before_serve: Vec<bool> = Vec::new();
-        let mut responses = Vec::new();
-        for req in &reqs {
-            let fp = StructureFingerprint::of(&req.graph);
-            quarantined_before_serve.push(driver.cache.is_quarantined(fp));
-            responses.push(driver.serve(req, &dev));
+        let served = front(shape, budget, spec, policy);
+        let rep = served.run_trace(&trace, &dev);
+        let (responses, poisoned_cohorts) = (rep.responses, rep.counters.quarantined_cohorts);
+        let largest_cohort = responses.iter().map(|r| r.cohort_size).max();
+        prop_assert_eq!(largest_cohort, Some(if shape == 0 { 1 } else { 2 }));
+        // What was quarantined before each epoch, and so before any later
+        // one: the front is deterministic, so the state before epoch e is
+        // that of a fresh front after the trace's first e epochs.
+        let epoch_len = served.config().arrivals_per_epoch;
+        let mut quarantined_before_epoch: Vec<HashSet<StructureFingerprint>> = Vec::new();
+        for e in 0..trace.len().div_ceil(epoch_len) {
+            let prefix = front(shape, budget, spec, policy);
+            prefix.run_trace(&trace[..e * epoch_len], &dev);
+            let mut q = quarantined(&prefix);
+            if let Some(earlier) = quarantined_before_epoch.last() {
+                q.extend(earlier);
+            }
+            quarantined_before_epoch.push(q);
         }
 
         // Fault-free references per (structure, step) — plans prepared
@@ -118,60 +163,57 @@ proptest! {
                 }
             }
             // Quarantine is forever: a structure quarantined before this
-            // request must not have produced a cache hit.
-            if quarantined_before_serve[i] {
+            // request's epoch must not have produced a cache hit.
+            if quarantined_before_epoch[resp.epoch].contains(&fp) {
                 prop_assert!(!resp.hit, "request {}: served a quarantined structure from cache", i);
             }
-            if driver.cache.is_quarantined(fp) {
+            if served.cache().is_quarantined(fp) {
                 seen_quarantine.insert(fp);
             }
         }
         // And the cache agrees nothing quarantined is resident.
         for fp in seen_quarantine {
-            prop_assert!(!driver.cache.contains(fp));
+            prop_assert!(served.cache().peek(fp).is_none());
         }
-        let s = driver.stats();
+        let s = served.cache().stats();
         prop_assert_eq!(s.hits + s.misses, s.requests);
-        prop_assert_eq!(s.quarantined as usize, {
-            let mut q = 0;
-            for g in graphs() {
-                if driver.cache.is_quarantined(StructureFingerprint::of(&g)) {
-                    q += 1;
-                }
-            }
-            q
-        });
+        prop_assert_eq!(s.quarantined as usize, quarantined(&served).len());
+        // A poisoned run quarantines its structure: some structure is
+        // quarantined exactly when some cohort was poisoned.
+        prop_assert_eq!(poisoned_cohorts > 0, s.quarantined > 0);
     }
 
     /// Resilience must be invisible when faults are off: the resilient
-    /// driver's stream equals the default driver's, bit for bit, outcome
+    /// front's stream equals the default front's, bit for bit, outcome
     /// for outcome.
     #[test]
     fn disabled_faults_are_bit_identical_to_plain_serving(
         family_ix in 0usize..4,
         n in 4usize..10,
+        shape in 0usize..2,
     ) {
         let dev = DeviceSpec::rtx3090();
         let spec = PlanSpec { family: KernelFamily::ALL[family_ix], use_loa: false };
-        let reqs = requests(n);
+        let trace = requests(n);
 
-        let mut plain = BatchDriver::new(u64::MAX, spec);
-        let mut resilient = BatchDriver::with_policy(
+        let plain = front(shape, u64::MAX, spec, ResiliencePolicy::default()).run_trace(&trace, &dev);
+        let resilient = front(
+            shape,
             u64::MAX,
             spec,
             ResiliencePolicy { faults: FaultConfig::off(), ..Default::default() },
-        );
-        let a = plain.run(&reqs, &dev);
-        let b = resilient.run(&reqs, &dev);
+        )
+        .run_trace(&trace, &dev);
+        let (a, b) = (&plain.responses, &resilient.responses);
         prop_assert_eq!(a.len(), b.len());
-        for (ra, rb) in a.iter().zip(&b) {
+        for (ra, rb) in a.iter().zip(b) {
             prop_assert_eq!(&ra.outcome, &rb.outcome);
             prop_assert!(matches!(ra.outcome, Outcome::Ok(_)));
             prop_assert_eq!(ra.hit, rb.hit);
             prop_assert_eq!(ra.wasted_sim_ms, 0.0);
         }
-        prop_assert_eq!(plain.stats(), resilient.stats());
-        prop_assert_eq!(plain.stats().quarantined, 0);
+        prop_assert_eq!(plain.cache, resilient.cache);
+        prop_assert_eq!(plain.cache.quarantined, 0);
     }
 
     /// Same seed, same schedule, same everything: a chaos batch re-run is
@@ -180,6 +222,7 @@ proptest! {
     fn chaos_batches_are_reproducible(
         seed in 0u64..1_000_000,
         rate in 0.1f64..0.7,
+        shape in 0usize..2,
     ) {
         let dev = DeviceSpec::rtx3090();
         let spec = PlanSpec::hybrid();
@@ -187,11 +230,10 @@ proptest! {
             faults: FaultConfig::uniform(seed, rate),
             ..Default::default()
         };
-        let reqs = requests(8);
+        let trace = requests(8);
         let run = || {
-            let mut d = BatchDriver::with_policy(u64::MAX, spec, policy);
-            let rs = d.run(&reqs, &dev);
-            (rs, d.stats())
+            let rep = front(shape, u64::MAX, spec, policy).run_trace(&trace, &dev);
+            (rep.responses, rep.cache)
         };
         let (ra, sa) = run();
         let (rb, sb) = run();

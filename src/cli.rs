@@ -5,6 +5,7 @@
 //! usage.
 
 use std::collections::HashMap;
+use std::str::FromStr;
 use std::sync::Arc;
 
 use gnn::aggregator::{HcAggregator, KernelAggregator};
@@ -12,48 +13,53 @@ use gnn::gin::gin_propagation;
 use gnn::train::{mean_timing, synthetic_labels, Trainer};
 use gnn::{Gcn, Gin};
 use gpu_sim::sanitizer::SanitizerConfig;
-use gpu_sim::{DeviceKind, DeviceSpec};
+use gpu_sim::{DeviceKind, DeviceSpec, FaultConfig};
 use graph_sparse::{gen, io, Csr, DatasetId, DenseMatrix};
-use hc_core::ResiliencePolicy;
-use hc_core::{sanitize_family, HcSpmm, KernelFamily, Loa, PlanSpec, SampleSpec, SpmmKernel};
-use hc_serve::{BatchDriver, BatchSummary, Outcome, Request};
+use hc_core::{
+    sanitize_family, FallbackStep, HcSpmm, KernelFamily, Loa, PlanSpec, ResiliencePolicy,
+    SampleSpec, SpmmKernel,
+};
+use hc_serve::{Front, FrontConfig, FrontRequest, FrontResponse, Outcome, Request, TenantId};
 
-/// Entry point; returns the process exit code.
+type Flags = HashMap<String, String>;
+
+/// Entry point; returns the process exit code. A bad invocation (unknown
+/// command, a flag value that does not parse, an unreadable graph) prints
+/// its message and exits 2.
 pub fn run(args: Vec<String>) -> i32 {
     let mut it = args.into_iter();
     let cmd = it.next().unwrap_or_else(|| "help".into());
     let flags = parse_flags(it.collect());
+    dispatch(&cmd, &flags).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        2
+    })
+}
+
+fn dispatch(cmd: &str, flags: &Flags) -> Result<i32, String> {
     // Global flag: worker-thread count for every parallel region (wins
     // over `HC_THREADS`; default = available cores). Output is
-    // bit-identical at any setting.
-    if let Some(v) = flags.get("threads") {
-        match v.parse::<usize>() {
-            Ok(n) if n > 0 => hc_parallel::set_threads(n),
-            _ => {
-                eprintln!("--threads requires a positive integer, got {v:?}");
-                return 2;
-            }
-        }
+    // bit-identical at any setting. Absent, it reads as 0: no override.
+    let threads = flag(flags, "threads", 0, "a positive integer", |&n| n > 0)?;
+    if threads > 0 {
+        hc_parallel::set_threads(threads);
     }
-    match cmd.as_str() {
-        "datasets" => cmd_datasets(),
-        "metrics" => cmd_metrics(&flags),
-        "spmm" => cmd_spmm(&flags),
-        "batch" => cmd_batch(&flags),
-        "serve-load" => cmd_serve_load(&flags),
-        "serve-churn" => cmd_serve_churn(&flags),
-        "loa" => cmd_loa(&flags),
-        "train" => cmd_train(&flags),
-        "selector" => cmd_selector(),
-        "sanitize" => cmd_sanitize(&flags),
+    match cmd {
+        "datasets" => Ok(cmd_datasets()),
+        "metrics" => cmd_metrics(flags),
+        "spmm" => cmd_spmm(flags),
+        "batch" => cmd_batch(flags),
+        "serve-load" => cmd_serve_load(flags),
+        "serve-churn" => cmd_serve_churn(flags),
+        "loa" => cmd_loa(flags),
+        "train" => cmd_train(flags),
+        "selector" => Ok(cmd_selector()),
+        "sanitize" => cmd_sanitize(flags),
         "help" | "--help" | "-h" => {
             print!("{}", usage());
-            0
+            Ok(0)
         }
-        other => {
-            eprintln!("unknown command {other:?}\n{}", usage());
-            2
-        }
+        other => Err(format!("unknown command {other:?}\n{}", usage())),
     }
 }
 
@@ -138,7 +144,7 @@ Results are bit-identical at any thread count.
     .into()
 }
 
-fn parse_flags(rest: Vec<String>) -> HashMap<String, String> {
+fn parse_flags(rest: Vec<String>) -> Flags {
     let mut flags = HashMap::new();
     let mut it = rest.into_iter().peekable();
     while let Some(tok) = it.next() {
@@ -156,14 +162,129 @@ fn parse_flags(rest: Vec<String>) -> HashMap<String, String> {
     flags
 }
 
-fn flag_usize(flags: &HashMap<String, String>, key: &str, default: usize) -> usize {
-    flags
-        .get(key)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// `--key`'s value: `default` when the flag is absent, else the value
+/// parsed as `T` and accepted by `valid`. A value that does not parse or
+/// is not valid is an error naming the flag and what it `requires`.
+fn flag<T: FromStr>(
+    flags: &Flags,
+    key: &str,
+    default: T,
+    requires: &str,
+    valid: impl Fn(&T) -> bool,
+) -> Result<T, String> {
+    let Some(v) = flags.get(key) else {
+        return Ok(default);
+    };
+    v.parse()
+        .ok()
+        .filter(|x| valid(x))
+        .ok_or_else(|| format!("--{key} requires {requires}, got {v:?}"))
 }
 
-fn device_for(flags: &HashMap<String, String>) -> DeviceSpec {
+/// A count flag: any non-negative integer.
+fn flag_usize(flags: &Flags, key: &str, default: usize) -> Result<usize, String> {
+    flag(flags, key, default, "a non-negative integer", |_| true)
+}
+
+/// `--kernel` as a plan family, when given.
+fn kernel_family(flags: &Flags) -> Result<Option<KernelFamily>, String> {
+    flags
+        .get("kernel")
+        .map(|name| {
+            KernelFamily::parse(name).ok_or_else(|| {
+                format!("unknown kernel family {name:?} (straightforward|cuda|tensor|hybrid)")
+            })
+        })
+        .transpose()
+}
+
+/// The flags the serving subcommands share, parsed in one place.
+struct ServeFlags {
+    /// `--cache-bytes`: the plan cache's byte budget.
+    cache_bytes: u64,
+    /// The front knobs (`--workers`, `--queue-depth`, `--tenant-quota`,
+    /// `--epoch`, `--max-cohort`, `--slo-ms`) and the resilience policy
+    /// (`--max-retries`, `--fault-rate`, `--fault-seed`).
+    front: FrontConfig,
+    fault_rate: f64,
+    fault_seed: u64,
+}
+
+impl ServeFlags {
+    fn parse(flags: &Flags) -> Result<ServeFlags, String> {
+        let fault_rate = flag(flags, "fault-rate", 0.0, "a probability in [0, 1]", |r| {
+            (0.0..=1.0).contains(r)
+        })?;
+        let fault_seed = flag(flags, "fault-seed", 42, "an integer", |_| true)?;
+        let front = FrontConfig {
+            workers: flag_usize(flags, "workers", 0)?,
+            queue_depth: flag_usize(flags, "queue-depth", 16)?,
+            tenant_quota: flag_usize(flags, "tenant-quota", 8)?,
+            arrivals_per_epoch: flag_usize(flags, "epoch", 16)?,
+            max_cohort: flag_usize(flags, "max-cohort", 8)?,
+            slo_sim_ms: flag(flags, "slo-ms", 50.0, "a positive number of ms", |&ms| {
+                ms > 0.0
+            })?,
+            policy: ResiliencePolicy {
+                max_retries: flag_usize(flags, "max-retries", 2)? as u32,
+                faults: FaultConfig::uniform(fault_seed, fault_rate),
+                ..Default::default()
+            },
+        };
+        Ok(ServeFlags {
+            cache_bytes: flag(flags, "cache-bytes", 64 << 20, "a byte count", |_| true)?,
+            front,
+            fault_rate,
+            fault_seed,
+        })
+    }
+
+    fn print_faults(&self) {
+        if self.fault_rate > 0.0 {
+            println!(
+                "fault injection: rate {}, seed {}",
+                self.fault_rate, self.fault_seed
+            );
+        }
+    }
+}
+
+/// The serving mixes' structures: `distinct` community graphs of `nodes`
+/// vertices.
+fn serving_graphs(distinct: usize, nodes: usize) -> Vec<Arc<Csr>> {
+    (0..distinct)
+        .map(|s| Arc::new(gen::community(nodes, nodes * 8, 16, 0.9, s as u64 + 1)))
+        .collect()
+}
+
+/// Arrival `i` of a serving mix: structures round-robin (cohort
+/// material), tenants round-robin on their own stride so structure and
+/// tenant decorrelate, features seeded by `i`.
+fn mix_request(graphs: &[Arc<Csr>], i: usize, tenants: usize, dim: usize) -> FrontRequest {
+    let graph = Arc::clone(&graphs[i % graphs.len()]);
+    FrontRequest {
+        tenant: TenantId((i % tenants) as u32),
+        request: Request {
+            features: DenseMatrix::random_features(graph.ncols, dim, i as u64),
+            graph,
+        },
+    }
+}
+
+/// How a served request ended, for the per-request lines.
+fn outcome_label(r: &FrontResponse) -> String {
+    match &r.outcome {
+        Outcome::Ok(_) => "ok".to_string(),
+        Outcome::Degraded {
+            fallback, retries, ..
+        } => format!("degraded via {} ({retries} retries)", fallback.name()),
+        Outcome::Failed(e) => {
+            format!("{}: {e}", if r.is_rejected() { "shed" } else { "failed" })
+        }
+    }
+}
+
+fn device_for(flags: &Flags) -> DeviceSpec {
     match flags.get("gpu").map(|s| s.as_str()) {
         Some("4090") => DeviceSpec::new(DeviceKind::Rtx4090),
         Some("a100") | Some("A100") => DeviceSpec::new(DeviceKind::A100),
@@ -171,12 +292,12 @@ fn device_for(flags: &HashMap<String, String>) -> DeviceSpec {
     }
 }
 
-fn load_graph(flags: &HashMap<String, String>) -> Result<(Csr, usize, String), String> {
+fn load_graph(flags: &Flags) -> Result<(Csr, usize, String), String> {
     if let Some(path) = flags.get("edge-list") {
         let g = io::read_edge_list_file(path).map_err(|e| format!("reading {path}: {e}"))?;
         g.validate()
             .map_err(|e| format!("invalid graph in {path}: {e}"))?;
-        let dim = flag_usize(flags, "dim", 64);
+        let dim = flag_usize(flags, "dim", 64)?;
         return Ok((g, dim, path.clone()));
     }
     let code = flags
@@ -187,12 +308,12 @@ fn load_graph(flags: &HashMap<String, String>) -> Result<(Csr, usize, String), S
         .into_iter()
         .find(|d| d.code() == code)
         .ok_or_else(|| format!("unknown dataset code {code:?} (try `hc-spmm datasets`)"))?;
-    let scale = flag_usize(flags, "scale", graph_sparse::datasets::DEFAULT_SCALE);
+    let scale = flag_usize(flags, "scale", graph_sparse::datasets::DEFAULT_SCALE)?;
     let ds = id.load_scaled(scale);
     ds.adj
         .validate()
         .map_err(|e| format!("invalid graph from dataset {code}: {e}"))?;
-    let dim = flag_usize(flags, "dim", ds.spec.dim.min(512));
+    let dim = flag_usize(flags, "dim", ds.spec.dim.min(512))?;
     Ok((ds.adj, dim, format!("{} (1/{scale} scale)", ds.spec.name)))
 }
 
@@ -211,15 +332,9 @@ fn cmd_datasets() -> i32 {
     0
 }
 
-fn cmd_metrics(flags: &HashMap<String, String>) -> i32 {
+fn cmd_metrics(flags: &Flags) -> Result<i32, String> {
     use graph_sparse::metrics;
-    let (graph, _, label) = match load_graph(flags) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
+    let (graph, _, label) = load_graph(flags)?;
     let d = metrics::degree_stats(&graph);
     let w = metrics::window_stats(&graph);
     println!(
@@ -245,17 +360,11 @@ fn cmd_metrics(flags: &HashMap<String, String>) -> i32 {
         "row windows: {} live, mean sparsity {:.3}, mean nnz-cols {:.1}, mean intensity {:.2}",
         w.windows, w.mean_sparsity, w.mean_nnz_cols, w.mean_intensity
     );
-    0
+    Ok(0)
 }
 
-fn cmd_spmm(flags: &HashMap<String, String>) -> i32 {
-    let (graph, dim, label) = match load_graph(flags) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
+fn cmd_spmm(flags: &Flags) -> Result<i32, String> {
+    let (graph, dim, label) = load_graph(flags)?;
     let dev = device_for(flags);
     let x = DenseMatrix::random_features(graph.nrows, dim, 1);
     let kernel: Box<dyn SpmmKernel> = match flags.get("kernel").map(|s| s.as_str()) {
@@ -265,10 +374,7 @@ fn cmd_spmm(flags: &HashMap<String, String>) -> i32 {
         Some("ge") => Box::new(baselines::GeSpmm),
         Some("tcgnn") => Box::new(baselines::TcGnnSpmm::default()),
         Some("dtc") => Box::new(baselines::DtcSpmm::default()),
-        Some(other) => {
-            eprintln!("unknown kernel {other:?}");
-            return 2;
-        }
+        Some(other) => return Err(format!("unknown kernel {other:?}")),
     };
     println!(
         "{label}: {} vertices, {} non-zeros, dim {dim}, {} on {:?}",
@@ -285,108 +391,64 @@ fn cmd_spmm(flags: &HashMap<String, String>) -> i32 {
         r.run.profile.dram_bytes() as f64 / 1e6,
         r.run.profile.blocks
     );
-    0
+    Ok(0)
 }
 
-fn cmd_batch(flags: &HashMap<String, String>) -> i32 {
+fn cmd_batch(flags: &Flags) -> Result<i32, String> {
     let dev = device_for(flags);
-    let requests = flag_usize(flags, "requests", 32);
-    let distinct = flag_usize(flags, "graphs", 4).max(1);
-    let nodes = flag_usize(flags, "nodes", 1024);
-    let dim = flag_usize(flags, "dim", 32);
-    let cache_bytes = match flags.get("cache-bytes") {
-        None => 64 << 20,
-        Some(v) => match v.parse::<u64>() {
-            Ok(b) => b,
-            Err(_) => {
-                eprintln!("--cache-bytes requires a byte count, got {v:?}");
-                return 2;
-            }
-        },
-    };
-    let family = match flags.get("kernel") {
-        None => KernelFamily::Hybrid,
-        Some(name) => match KernelFamily::parse(name) {
-            Some(f) => f,
-            None => {
-                eprintln!("unknown kernel family {name:?} (straightforward|cuda|tensor|hybrid)");
-                return 2;
-            }
-        },
-    };
+    let requests = flag_usize(flags, "requests", 32)?;
+    let distinct = flag_usize(flags, "graphs", 4)?.max(1);
+    let nodes = flag_usize(flags, "nodes", 1024)?;
+    let dim = flag_usize(flags, "dim", 32)?;
+    let serve = ServeFlags::parse(flags)?;
+    let family = kernel_family(flags)?.unwrap_or(KernelFamily::Hybrid);
     let spec = PlanSpec {
         family,
         use_loa: flags.contains_key("loa"),
     };
-    let fault_rate = match flags.get("fault-rate") {
-        None => 0.0,
-        Some(v) => match v.parse::<f64>() {
-            Ok(r) if (0.0..=1.0).contains(&r) => r,
-            _ => {
-                eprintln!("--fault-rate requires a probability in [0, 1], got {v:?}");
-                return 2;
-            }
-        },
-    };
-    let fault_seed = match flags.get("fault-seed") {
-        None => 42,
-        Some(v) => match v.parse::<u64>() {
-            Ok(s) => s,
-            Err(_) => {
-                eprintln!("--fault-seed requires an integer, got {v:?}");
-                return 2;
-            }
-        },
-    };
-    let policy = ResiliencePolicy {
-        max_retries: flag_usize(flags, "max-retries", 2) as u32,
-        faults: gpu_sim::FaultConfig::uniform(fault_seed, fault_rate),
-        ..Default::default()
-    };
 
-    // A serving mix: `distinct` structurally different graphs, requests
-    // round-robin across them so every graph past the first round hits.
-    let graphs: Vec<Arc<Csr>> = (0..distinct)
-        .map(|s| Arc::new(gen::community(nodes, nodes * 8, 16, 0.9, s as u64 + 1)))
-        .collect();
-    let stream: Vec<Request> = (0..requests)
-        .map(|i| Request {
-            graph: Arc::clone(&graphs[i % distinct]),
-            features: DenseMatrix::random_features(nodes, dim, i as u64),
-        })
+    // A serving mix from one tenant: every graph past the first round
+    // hits.
+    let graphs = serving_graphs(distinct, nodes);
+    let stream: Vec<FrontRequest> = (0..requests)
+        .map(|i| mix_request(&graphs, i, 1, dim))
         .collect();
 
     println!(
         "batch: {requests} requests over {distinct} graphs ({nodes} vertices, dim {dim}), \
-         {} plans, cache budget {cache_bytes} B, {:?}",
+         {} plans, cache budget {} B, {:?}",
         family.name(),
+        serve.cache_bytes,
         dev.kind
     );
-    if fault_rate > 0.0 {
-        println!("fault injection: rate {fault_rate}, seed {fault_seed}");
-    }
-    let mut driver = BatchDriver::with_policy(cache_bytes, spec, policy);
-    let responses = driver.run(&stream, &dev);
-    let mut exec_total = 0.0;
-    let mut prepare_total = 0.0;
+    serve.print_faults();
+    let front = Front::in_order(serve.cache_bytes, spec, serve.front.policy);
+    let rep = front.run_trace(&stream, &dev);
+    let responses = &rep.responses;
+    let (mut exec_total, mut prepare_total, mut wasted_total) = (0.0, 0.0, 0.0);
+    let (mut retries, mut fallbacks) = (0u64, 0u64);
     for (i, r) in responses.iter().enumerate() {
-        let outcome = match &r.outcome {
-            Outcome::Ok(_) => "ok".to_string(),
-            Outcome::Degraded {
-                fallback, retries, ..
-            } => format!("degraded via {} ({retries} retries)", fallback.name()),
-            Outcome::Failed(e) => format!("failed: {e}"),
-        };
         println!(
-            "  request {i:>3}: {}  exec {:>8.4} ms  prepare {:>8.4} ms  {outcome}",
+            "  request {i:>3}: {}  exec {:>8.4} ms  prepare {:>8.4} ms  {}",
             if r.hit { "hit " } else { "miss" },
             r.exec_sim_ms,
-            r.prepare_sim_ms
+            r.prepare_sim_ms,
+            outcome_label(r)
         );
         exec_total += r.exec_sim_ms;
         prepare_total += r.prepare_sim_ms;
+        wasted_total += r.wasted_sim_ms;
+        if let Outcome::Degraded {
+            fallback,
+            retries: n,
+            ..
+        } = &r.outcome
+        {
+            retries += u64::from(*n);
+            fallbacks += u64::from(*fallback != FallbackStep::Family(family));
+        }
     }
-    let s = driver.stats();
+    let s = rep.cache;
     let n = responses.len() as f64;
     // Cold = what every request would cost if nothing were ever cached:
     // each would pay its own preparation on top of the SpMM.
@@ -409,132 +471,65 @@ fn cmd_batch(flags: &HashMap<String, String>) -> i32 {
         s.evictions,
         s.rejected,
         s.hit_rate() * 100.0,
-        driver.cache.len(),
-        driver.cache.bytes_used(),
-        driver.cache.budget()
+        front.cache().len(),
+        front.cache().bytes_used(),
+        front.cache().shard_budget()
     );
-    let sum = BatchSummary::of(&responses, family);
+    let c = rep.counters;
     println!(
         "degradation: {} ok / {} degraded / {} failed — rate {:.1}%, {} retries, \
          {} fallbacks, {:.4} ms wasted (sim), {} structures quarantined",
-        sum.ok,
-        sum.degraded,
-        sum.failed,
-        sum.degraded_rate() * 100.0,
-        sum.retries,
-        sum.fallbacks,
-        sum.wasted_sim_ms,
+        c.ok,
+        c.degraded,
+        c.failed,
+        c.degraded as f64 / responses.len().max(1) as f64 * 100.0,
+        retries,
+        fallbacks,
+        wasted_total,
         s.quarantined
     );
     // Failed requests are an internal-fault outcome: exit 1, not 2 (the
     // inputs were fine; the device wasn't).
-    if sum.failed > 0 {
-        eprintln!("batch: {} request(s) failed", sum.failed);
-        1
+    if c.failed > 0 {
+        eprintln!("batch: {} request(s) failed", c.failed);
+        Ok(1)
     } else {
-        0
+        Ok(0)
     }
 }
 
-fn cmd_serve_load(flags: &HashMap<String, String>) -> i32 {
-    use hc_serve::{Front, FrontConfig, FrontRequest, TenantId};
+fn cmd_serve_load(flags: &Flags) -> Result<i32, String> {
     let dev = device_for(flags);
-    let requests = flag_usize(flags, "requests", 48);
-    let distinct = flag_usize(flags, "graphs", 4).max(1);
-    let tenants = flag_usize(flags, "tenants", 4).max(1);
-    let nodes = flag_usize(flags, "nodes", 1024);
-    let dim = flag_usize(flags, "dim", 32);
-    let cache_bytes = match flags.get("cache-bytes") {
-        None => 64 << 20,
-        Some(v) => match v.parse::<u64>() {
-            Ok(b) => b,
-            Err(_) => {
-                eprintln!("--cache-bytes requires a byte count, got {v:?}");
-                return 2;
-            }
-        },
-    };
-    let slo_sim_ms = match flags.get("slo-ms") {
-        None => 50.0,
-        Some(v) => match v.parse::<f64>() {
-            Ok(ms) if ms > 0.0 => ms,
-            _ => {
-                eprintln!("--slo-ms requires a positive number of ms, got {v:?}");
-                return 2;
-            }
-        },
-    };
-    let fault_rate = match flags.get("fault-rate") {
-        None => 0.0,
-        Some(v) => match v.parse::<f64>() {
-            Ok(r) if (0.0..=1.0).contains(&r) => r,
-            _ => {
-                eprintln!("--fault-rate requires a probability in [0, 1], got {v:?}");
-                return 2;
-            }
-        },
-    };
-    let fault_seed = match flags.get("fault-seed") {
-        None => 42,
-        Some(v) => match v.parse::<u64>() {
-            Ok(s) => s,
-            Err(_) => {
-                eprintln!("--fault-seed requires an integer, got {v:?}");
-                return 2;
-            }
-        },
-    };
-    let cfg = FrontConfig {
-        workers: flag_usize(flags, "workers", 0),
-        queue_depth: flag_usize(flags, "queue-depth", 16),
-        tenant_quota: flag_usize(flags, "tenant-quota", 8),
-        arrivals_per_epoch: flag_usize(flags, "epoch", 16),
-        max_cohort: flag_usize(flags, "max-cohort", 8),
-        slo_sim_ms,
-        policy: ResiliencePolicy {
-            max_retries: flag_usize(flags, "max-retries", 2) as u32,
-            faults: gpu_sim::FaultConfig::uniform(fault_seed, fault_rate),
-            ..Default::default()
-        },
-    };
+    let requests = flag_usize(flags, "requests", 48)?;
+    let distinct = flag_usize(flags, "graphs", 4)?.max(1);
+    let tenants = flag_usize(flags, "tenants", 4)?.max(1);
+    let nodes = flag_usize(flags, "nodes", 1024)?;
+    let dim = flag_usize(flags, "dim", 32)?;
+    let serve = ServeFlags::parse(flags)?;
+    let cfg = serve.front;
 
-    // The serving mix: `distinct` structures round-robin (cohort
-    // material), tenants round-robin on a different stride so structure
-    // and tenant decorrelate.
-    let graphs: Vec<Arc<Csr>> = (0..distinct)
-        .map(|s| Arc::new(gen::community(nodes, nodes * 8, 16, 0.9, s as u64 + 1)))
-        .collect();
+    let graphs = serving_graphs(distinct, nodes);
     let trace: Vec<FrontRequest> = (0..requests)
-        .map(|i| FrontRequest {
-            tenant: TenantId((i % tenants) as u32),
-            request: Request {
-                graph: Arc::clone(&graphs[i % distinct]),
-                features: DenseMatrix::random_features(nodes, dim, i as u64),
-            },
-        })
+        .map(|i| mix_request(&graphs, i, tenants, dim))
         .collect();
 
     println!(
         "serve-load: {requests} arrivals from {tenants} tenants over {distinct} graphs \
          ({nodes} vertices, dim {dim}), epochs of {}, queue {}, quota {}/tenant, \
-         cohorts ≤ {}, SLO {slo_sim_ms} ms (sim), cache budget {cache_bytes} B, {:?}",
-        cfg.arrivals_per_epoch, cfg.queue_depth, cfg.tenant_quota, cfg.max_cohort, dev.kind
+         cohorts ≤ {}, SLO {} ms (sim), cache budget {} B, {:?}",
+        cfg.arrivals_per_epoch,
+        cfg.queue_depth,
+        cfg.tenant_quota,
+        cfg.max_cohort,
+        cfg.slo_sim_ms,
+        serve.cache_bytes,
+        dev.kind
     );
-    if fault_rate > 0.0 {
-        println!("fault injection: rate {fault_rate}, seed {fault_seed}");
-    }
-    let front = Front::new(cache_bytes, PlanSpec::hybrid(), 4, cfg);
+    serve.print_faults();
+    let front = Front::new(serve.cache_bytes, PlanSpec::hybrid(), 4, cfg);
     let rep = front.run_trace(&trace, &dev);
     for r in &rep.responses {
-        let outcome = match &r.outcome {
-            Outcome::Ok(_) => "ok".to_string(),
-            Outcome::Degraded {
-                fallback, retries, ..
-            } => format!("degraded via {} ({retries} retries)", fallback.name()),
-            Outcome::Failed(e) => {
-                format!("{}: {e}", if r.is_rejected() { "shed" } else { "failed" })
-            }
-        };
+        let outcome = outcome_label(r);
         match r.cohort {
             Some(c) => println!(
                 "  request {:>3} {} epoch {} cohort {c:>3} ({}/{}) {}  \
@@ -610,9 +605,9 @@ fn cmd_serve_load(flags: &HashMap<String, String>) -> i32 {
     // outcome (exit 1); shed requests are the front doing its job.
     if c.failed > 0 {
         eprintln!("serve-load: {} admitted request(s) failed", c.failed);
-        1
+        Ok(1)
     } else {
-        0
+        Ok(0)
     }
 }
 
@@ -642,51 +637,26 @@ fn churn_delta(g: &Csr, salt: u64) -> Option<graph_sparse::DeltaCsr> {
     graph_sparse::DeltaCsr::new(n, g.ncols, inserts, vec![(dr, dc)]).ok()
 }
 
-fn cmd_serve_churn(flags: &HashMap<String, String>) -> i32 {
-    use hc_serve::{Front, FrontConfig, FrontEvent, FrontRequest, Mutation, TenantId};
+fn cmd_serve_churn(flags: &Flags) -> Result<i32, String> {
+    use hc_serve::{FrontEvent, Mutation};
     let dev = device_for(flags);
-    let requests = flag_usize(flags, "requests", 48);
-    let mutations = flag_usize(flags, "mutations", 4);
-    let distinct = flag_usize(flags, "graphs", 3).max(1);
-    let tenants = flag_usize(flags, "tenants", 4).max(1);
-    let nodes = flag_usize(flags, "nodes", 1024);
-    let dim = flag_usize(flags, "dim", 32);
-    let cache_bytes = match flags.get("cache-bytes") {
-        None => 64 << 20,
-        Some(v) => match v.parse::<u64>() {
-            Ok(b) => b,
-            Err(_) => {
-                eprintln!("--cache-bytes requires a byte count, got {v:?}");
-                return 2;
-            }
-        },
-    };
-    let slo_sim_ms = match flags.get("slo-ms") {
-        None => 50.0,
-        Some(v) => match v.parse::<f64>() {
-            Ok(ms) if ms > 0.0 => ms,
-            _ => {
-                eprintln!("--slo-ms requires a positive number of ms, got {v:?}");
-                return 2;
-            }
-        },
-    };
+    let requests = flag_usize(flags, "requests", 48)?;
+    let mutations = flag_usize(flags, "mutations", 4)?;
+    let distinct = flag_usize(flags, "graphs", 3)?.max(1);
+    let tenants = flag_usize(flags, "tenants", 4)?.max(1);
+    let nodes = flag_usize(flags, "nodes", 1024)?;
+    let dim = flag_usize(flags, "dim", 32)?;
+    let serve = ServeFlags::parse(flags)?;
+    // Churn serves fault-free: it takes no fault flags.
     let cfg = FrontConfig {
-        workers: flag_usize(flags, "workers", 0),
-        queue_depth: flag_usize(flags, "queue-depth", 16),
-        tenant_quota: flag_usize(flags, "tenant-quota", 8),
-        arrivals_per_epoch: flag_usize(flags, "epoch", 16),
-        max_cohort: flag_usize(flags, "max-cohort", 8),
-        slo_sim_ms,
         policy: ResiliencePolicy::default(),
+        ..serve.front
     };
 
     // Evolving structures: requests always target the *current* version
     // of their graph; every `gap` arrivals one graph takes an edge-churn
     // delta on the control plane.
-    let mut current: Vec<Arc<Csr>> = (0..distinct)
-        .map(|s| Arc::new(gen::community(nodes, nodes * 8, 16, 0.9, s as u64 + 1)))
-        .collect();
+    let mut current = serving_graphs(distinct, nodes);
     let gap = (requests / (mutations + 1)).max(1);
     let mut events: Vec<FrontEvent> = Vec::new();
     let mut issued = 0usize;
@@ -694,45 +664,30 @@ fn cmd_serve_churn(flags: &HashMap<String, String>) -> i32 {
         if i > 0 && i % gap == 0 && issued < mutations {
             let gi = issued % distinct;
             let base = Arc::clone(&current[gi]);
-            match churn_delta(&base, issued as u64 + 1) {
-                Some(delta) => match delta.apply(&base) {
-                    Ok(next) => {
-                        current[gi] = Arc::new(next);
-                        events.push(FrontEvent::Mutate(Mutation { base, delta }));
-                        issued += 1;
-                    }
-                    Err(e) => {
-                        eprintln!("internal churn delta failed to apply: {e}");
-                        return 2;
-                    }
-                },
-                None => {
-                    eprintln!("graph {gi} has no edges to churn");
-                    return 2;
-                }
-            }
+            let delta = churn_delta(&base, issued as u64 + 1)
+                .ok_or_else(|| format!("graph {gi} has no edges to churn"))?;
+            let next = delta
+                .apply(&base)
+                .map_err(|e| format!("internal churn delta failed to apply: {e}"))?;
+            current[gi] = Arc::new(next);
+            events.push(FrontEvent::Mutate(Mutation { base, delta }));
+            issued += 1;
         }
-        events.push(FrontEvent::Serve(FrontRequest {
-            tenant: TenantId((i % tenants) as u32),
-            request: Request {
-                graph: Arc::clone(&current[i % distinct]),
-                features: DenseMatrix::random_features(nodes, dim, i as u64),
-            },
-        }));
+        events.push(FrontEvent::Serve(mix_request(&current, i, tenants, dim)));
     }
 
     println!(
         "serve-churn: {requests} arrivals from {tenants} tenants over {distinct} evolving \
          graphs ({nodes} vertices, dim {dim}), {issued} mutations every {gap} arrivals, \
-         epochs of {}, cache budget {cache_bytes} B, {:?}",
-        cfg.arrivals_per_epoch, dev.kind
+         epochs of {}, cache budget {} B, {:?}",
+        cfg.arrivals_per_epoch, serve.cache_bytes, dev.kind
     );
-    let front = Front::new(cache_bytes, PlanSpec::hybrid(), 4, cfg);
+    let front = Front::new(serve.cache_bytes, PlanSpec::hybrid(), 4, cfg);
     if let Some(wal) = flags.get("wal") {
         return serve_churn_durable(front, &events, &dev, flags, wal);
     }
     let rep = front.run_events(&events, &dev);
-    print_churn_report(&rep, None)
+    Ok(print_churn_report(&rep, None))
 }
 
 /// The shared report tail of `serve-churn`: per-mutation patch outcomes,
@@ -809,27 +764,21 @@ fn print_churn_report(rep: &hc_serve::FrontReport, resumed_at: Option<usize>) ->
 /// rollback, idempotent delta replay) and resumes the identical trace
 /// from the first epoch past the last fsync marker.
 fn serve_churn_durable(
-    front: hc_serve::Front,
+    front: Front,
     events: &[hc_serve::FrontEvent],
     dev: &DeviceSpec,
-    flags: &HashMap<String, String>,
+    flags: &Flags,
     wal: &str,
-) -> i32 {
+) -> Result<i32, String> {
     use gpu_sim::{CrashConfig, CrashScope};
     use hc_serve::{DurabilityConfig, DurableFront};
     use std::path::PathBuf;
 
-    let snapshot_every = flag_usize(flags, "snapshot-every", 4).max(1) as u64;
-    let crash_at = match flags.get("crash-at") {
-        None => None,
-        Some(v) => match v.parse::<u64>() {
-            Ok(k) => Some(k),
-            Err(_) => {
-                eprintln!("--crash-at requires a crash-point index, got {v:?}");
-                return 2;
-            }
-        },
-    };
+    let snapshot_every = flag_usize(flags, "snapshot-every", 4)?.max(1) as u64;
+    let crash_at = flags
+        .contains_key("crash-at")
+        .then(|| flag(flags, "crash-at", 0u64, "a crash-point index", |_| true))
+        .transpose()?;
     let wal_path = PathBuf::from(wal);
     let mut snap = wal_path.as_os_str().to_owned();
     snap.push(".snap");
@@ -840,83 +789,63 @@ fn serve_churn_durable(
     };
 
     let mut df = if flags.contains_key("recover") {
-        match DurableFront::recover(front, dcfg, events, dev) {
-            Ok((df, stats)) => {
-                println!(
-                    "recovered from {wal}: resuming at epoch {}; {} plans rebuilt warm \
-                     ({} full prepares + {} patch replays, {:.4} ms sim), {} deltas \
-                     replayed ({} duplicates skipped, {} double-applied), {} records \
-                     rolled back to the last fsync marker, {} torn bytes discarded",
-                    stats.resume_epoch,
-                    stats.restored_plans,
-                    stats.full_prepares,
-                    stats.patch_replays,
-                    stats.recovery_sim_ms,
-                    stats.reapplied_deltas,
-                    stats.skipped_duplicates,
-                    stats.double_applied,
-                    stats.rolled_back_records,
-                    stats.torn_bytes,
-                );
-                df
-            }
-            Err(e) => {
-                eprintln!("serve-churn: recovery from {wal} failed: {e}");
-                return 2;
-            }
-        }
+        let (df, stats) = DurableFront::recover(front, dcfg, events, dev)
+            .map_err(|e| format!("serve-churn: recovery from {wal} failed: {e}"))?;
+        println!(
+            "recovered from {wal}: resuming at epoch {}; {} plans rebuilt warm \
+             ({} full prepares + {} patch replays, {:.4} ms sim), {} deltas \
+             replayed ({} duplicates skipped, {} double-applied), {} records \
+             rolled back to the last fsync marker, {} torn bytes discarded",
+            stats.resume_epoch,
+            stats.restored_plans,
+            stats.full_prepares,
+            stats.patch_replays,
+            stats.recovery_sim_ms,
+            stats.reapplied_deltas,
+            stats.skipped_duplicates,
+            stats.double_applied,
+            stats.rolled_back_records,
+            stats.torn_bytes,
+        );
+        df
     } else {
-        match DurableFront::create(front, dcfg) {
-            Ok(df) => df,
-            Err(e) => {
-                eprintln!("serve-churn: cannot create WAL at {wal}: {e}");
-                return 2;
-            }
-        }
+        DurableFront::create(front, dcfg)
+            .map_err(|e| format!("serve-churn: cannot create WAL at {wal}: {e}"))?
     };
 
     let resumed_at = flags.contains_key("recover").then(|| df.resume_epoch());
     let _scope = crash_at.map(|k| CrashScope::install(CrashConfig::at(k)));
-    match df.run(events, dev) {
-        Err(e) => {
-            eprintln!("serve-churn: durability error: {e}");
-            2
+    let attempt = df
+        .run(events, dev)
+        .map_err(|e| format!("serve-churn: durability error: {e}"))?;
+    match attempt.crash {
+        Some(site) => {
+            println!(
+                "crashed (injected) at {site}, crash point {}: {} responses were \
+                 delivered durably before the crash; resume with \
+                 `serve-churn --wal {wal} --recover` and the same trace flags",
+                crash_at.map_or_else(|| "?".into(), |k| k.to_string()),
+                attempt.delivered.len(),
+            );
+            Ok(0)
         }
-        Ok(attempt) => match attempt.crash {
-            Some(site) => {
-                println!(
-                    "crashed (injected) at {site}, crash point {}: {} responses were \
-                     delivered durably before the crash; resume with \
-                     `serve-churn --wal {wal} --recover` and the same trace flags",
-                    crash_at.map_or_else(|| "?".into(), |k| k.to_string()),
-                    attempt.delivered.len(),
-                );
-                0
-            }
-            None => {
-                let rep = attempt
-                    .report
-                    .expect("an uncrashed attempt always carries its report");
-                print_churn_report(&rep, resumed_at)
-            }
-        },
+        None => {
+            let rep = attempt
+                .report
+                .expect("an uncrashed attempt always carries its report");
+            Ok(print_churn_report(&rep, resumed_at))
+        }
     }
 }
 
-fn cmd_loa(flags: &HashMap<String, String>) -> i32 {
-    let (graph, dim, label) = match load_graph(flags) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
+fn cmd_loa(flags: &Flags) -> Result<i32, String> {
+    let (graph, dim, label) = load_graph(flags)?;
     let dev = device_for(flags);
     let x = DenseMatrix::random_features(graph.nrows, dim, 1);
     let hc = HcSpmm::default();
     let before = hc.spmm(&graph, &x, &dev);
     let loa = Loa {
-        vw: flag_usize(flags, "vw", Loa::default().vw),
+        vw: flag_usize(flags, "vw", Loa::default().vw)?,
     };
     let (optimized, rep) = loa.optimize(&graph);
     let after = hc.spmm(&optimized, &x, &dev);
@@ -932,20 +861,14 @@ fn cmd_loa(flags: &HashMap<String, String>) -> i32 {
         rep.seconds,
         rep.ops
     );
-    0
+    Ok(0)
 }
 
-fn cmd_train(flags: &HashMap<String, String>) -> i32 {
-    let (graph, dim, label) = match load_graph(flags) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
+fn cmd_train(flags: &Flags) -> Result<i32, String> {
+    let (graph, dim, label) = load_graph(flags)?;
     let dev = device_for(flags);
-    let hidden = flag_usize(flags, "hidden", 32);
-    let epochs = flag_usize(flags, "epochs", 5);
+    let hidden = flag_usize(flags, "hidden", 32)?;
+    let epochs = flag_usize(flags, "epochs", 5)?;
     let classes = 22;
     let x = DenseMatrix::random_features(graph.nrows, dim, 1);
     let labels = synthetic_labels(graph.nrows, classes);
@@ -966,10 +889,7 @@ fn cmd_train(flags: &HashMap<String, String>) -> i32 {
             let mut m = Gcn::new(dim, hidden, classes, 3);
             tr.train_gcn(&mut m, &a, &x, &labels, &agg, &dev)
         }
-        other => {
-            eprintln!("unknown model {other:?} (gcn|gin)");
-            return 2;
-        }
+        other => return Err(format!("unknown model {other:?} (gcn|gin)")),
     };
     for (i, e) in timings.iter().enumerate() {
         println!(
@@ -994,39 +914,28 @@ fn cmd_train(flags: &HashMap<String, String>) -> i32 {
             t.forward_ms, t.backward_ms
         );
     }
-    0
+    Ok(0)
 }
 
-fn cmd_sanitize(flags: &HashMap<String, String>) -> i32 {
+fn cmd_sanitize(flags: &Flags) -> Result<i32, String> {
     let dev = device_for(flags);
     let sample = SampleSpec {
-        max_windows: flag_usize(flags, "windows", SampleSpec::default().max_windows),
+        max_windows: flag_usize(flags, "windows", SampleSpec::default().max_windows)?,
     };
     let cfg = SanitizerConfig::default();
-    let families: Vec<KernelFamily> = match flags.get("kernel") {
+    let families: Vec<KernelFamily> = match kernel_family(flags)? {
         None => KernelFamily::ALL.to_vec(),
-        Some(name) => match KernelFamily::parse(name) {
-            Some(f) => vec![f],
-            None => {
-                eprintln!("unknown kernel family {name:?} (straightforward|cuda|tensor|hybrid)");
-                return 2;
-            }
-        },
+        Some(f) => vec![f],
     };
 
     // Either the explicitly requested graph, or the built-in acceptance
     // suite: three structurally different generated graphs plus fixtures.
     let mut graphs: Vec<(String, Csr, usize)> = Vec::new();
     if flags.contains_key("edge-list") || flags.contains_key("dataset") {
-        match load_graph(flags) {
-            Ok((g, dim, label)) => graphs.push((label, g, dim)),
-            Err(e) => {
-                eprintln!("{e}");
-                return 2;
-            }
-        }
+        let (g, dim, label) = load_graph(flags)?;
+        graphs.push((label, g, dim));
     } else {
-        let dim = flag_usize(flags, "dim", 32);
+        let dim = flag_usize(flags, "dim", 32)?;
         graphs.push((
             "community(1024, 8000)".into(),
             gen::community(1024, 8_000, 32, 0.9, 1),
@@ -1086,10 +995,10 @@ fn cmd_sanitize(flags: &HashMap<String, String>) -> i32 {
     }
     if total_findings > 0 {
         eprintln!("sanitize: {total_findings} finding(s)");
-        1
+        Ok(1)
     } else {
         println!("sanitize: all checks clean");
-        0
+        Ok(0)
     }
 }
 
@@ -1132,8 +1041,14 @@ mod tests {
         ]);
         assert_eq!(f.get("dataset").unwrap(), "rd");
         assert_eq!(f.get("verbose").unwrap(), "true");
-        assert_eq!(flag_usize(&f, "scale", 64), 128);
-        assert_eq!(flag_usize(&f, "missing", 7), 7);
+        assert_eq!(flag_usize(&f, "scale", 64), Ok(128));
+        assert_eq!(flag_usize(&f, "missing", 7), Ok(7));
+        // A count that does not parse is an error naming its flag, never
+        // the default.
+        assert_eq!(
+            flag_usize(&f, "verbose", 7),
+            Err("--verbose requires a non-negative integer, got \"true\"".to_string())
+        );
     }
 
     #[test]
@@ -1306,6 +1221,9 @@ mod tests {
             ("--slo-ms", "-3"),
             ("--fault-rate", "1.5"),
             ("--fault-seed", "nope"),
+            ("--max-cohort", "zero"),
+            ("--requests", "lots"),
+            ("--workers", "-1"),
         ] {
             assert_eq!(
                 run(vec!["serve-load".into(), flag.into(), bad.into()]),
@@ -1337,7 +1255,12 @@ mod tests {
             ]),
             0
         );
-        for (flag, bad) in [("--cache-bytes", "много"), ("--slo-ms", "-3")] {
+        for (flag, bad) in [
+            ("--cache-bytes", "много"),
+            ("--slo-ms", "-3"),
+            ("--mutations", "many"),
+            ("--epoch", "1.5"),
+        ] {
             assert_eq!(
                 run(vec!["serve-churn".into(), flag.into(), bad.into()]),
                 2,
@@ -1430,6 +1353,17 @@ mod tests {
             run(vec!["batch".into(), "--fault-seed".into(), "nope".into()]),
             2
         );
+        for (flag, bad) in [
+            ("--requests", "lots"),
+            ("--graphs", "few"),
+            ("--max-retries", "-1"),
+        ] {
+            assert_eq!(
+                run(vec!["batch".into(), flag.into(), bad.into()]),
+                2,
+                "{flag} {bad} should be rejected"
+            );
+        }
     }
 
     #[test]
@@ -1452,6 +1386,18 @@ mod tests {
                 run(vec!["datasets".into(), "--threads".into(), bad.into()]),
                 2,
                 "--threads {bad} should be rejected"
+            );
+        }
+        // Count flags of the non-serving commands reject garbage too,
+        // before any graph is loaded.
+        for (cmd, flag, bad) in [
+            ("train", "--scale", "big"),
+            ("sanitize", "--windows", "all"),
+        ] {
+            assert_eq!(
+                run(vec![cmd.into(), flag.into(), bad.into()]),
+                2,
+                "{cmd} {flag} {bad} should be rejected"
             );
         }
     }
