@@ -16,7 +16,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::time::Instant;
 
-use gpu_sim::DeviceSpec;
+use gpu_sim::{BlockCost, DeviceSpec, KernelRun};
 use graph_sparse::{
     Csr, DeltaCsr, DeltaError, DenseMatrix, FingerprintState, RowWindow, StructureFingerprint,
 };
@@ -429,6 +429,58 @@ impl Plan {
         }
     }
 
+    /// Timing-only [`execute_as`](Plan::execute_as): the run record one
+    /// `family` launch over this plan's partition bills against a
+    /// `width`-column right-hand side, with nothing computed. At a
+    /// request's own width it is bit-identical to that request's
+    /// `execute_as(..).run`; at `width = Σ d_i` it prices the single
+    /// batched SpMM `A·[X1|…|Xk]` that serves k requests on this plan in
+    /// one launch. `a` must share the prepared structure; its values never
+    /// matter.
+    ///
+    /// The block costs are derived afresh and the workspace's cost cache
+    /// is left untouched, so pricing a batched width never displaces the
+    /// vector of a width that requests execute at. Like any launch, it is
+    /// observed by a [`gpu_sim::FaultScope`] installed on the calling
+    /// thread.
+    pub fn execute_run(
+        &self,
+        family: KernelFamily,
+        a: &Csr,
+        width: usize,
+        dev: &DeviceSpec,
+    ) -> KernelRun {
+        dev.execute(&self.block_costs(family, a, width, dev))
+    }
+
+    /// Per-window block costs of a `family` launch at `width` feature
+    /// columns: a pure function of (structure, family, width, device).
+    fn block_costs(
+        &self,
+        family: KernelFamily,
+        a: &Csr,
+        width: usize,
+        dev: &DeviceSpec,
+    ) -> Vec<BlockCost> {
+        match family {
+            KernelFamily::Straightforward => {
+                self.sf
+                    .partition_block_costs(&self.pre.partition, a, width, dev)
+            }
+            KernelFamily::Cuda => {
+                self.hc
+                    .cuda
+                    .partition_block_costs(&self.pre.partition, width, dev)
+            }
+            KernelFamily::Tensor => {
+                self.hc
+                    .tensor
+                    .partition_block_costs(&self.pre.partition, width, dev)
+            }
+            KernelFamily::Hybrid => self.hc.block_costs(&self.pre, width, dev),
+        }
+    }
+
     /// Dispatch to a kernel family against the prepared partition. The
     /// per-window block costs are a pure function of (structure, family,
     /// feature width, device), so they come from the workspace cache —
@@ -440,25 +492,9 @@ impl Plan {
         x: &DenseMatrix,
         dev: &DeviceSpec,
     ) -> SpmmResult {
-        let blocks = self
-            .workspace
-            .block_costs(family, x.cols, dev.kind, || match family {
-                KernelFamily::Straightforward => {
-                    self.sf
-                        .partition_block_costs(&self.pre.partition, a, x.cols, dev)
-                }
-                KernelFamily::Cuda => {
-                    self.hc
-                        .cuda
-                        .partition_block_costs(&self.pre.partition, x.cols, dev)
-                }
-                KernelFamily::Tensor => {
-                    self.hc
-                        .tensor
-                        .partition_block_costs(&self.pre.partition, x.cols, dev)
-                }
-                KernelFamily::Hybrid => self.hc.block_costs(&self.pre, x.cols, dev),
-            });
+        let blocks = self.workspace.block_costs(family, x.cols, dev.kind, || {
+            self.block_costs(family, a, x.cols, dev)
+        });
         let run = dev.execute(&blocks);
         let z = match family {
             KernelFamily::Straightforward => self.sf.partition_numeric(&self.pre.partition, a, x),
@@ -671,6 +707,31 @@ mod tests {
         assert_eq!(s.scratch_reuses, 2);
         assert_eq!(s.cost_builds, 1, "block costs built once");
         assert_eq!(s.cost_reuses, 2);
+    }
+
+    #[test]
+    fn execute_run_bills_what_execute_as_bills_and_caches_nothing() {
+        let dev = DeviceSpec::rtx3090();
+        let a = gen::scatter_relabel(&gen::molecules(256, 700, 5), 2);
+        for family in KernelFamily::ALL {
+            for use_loa in [false, true] {
+                let plan = Plan::prepare(&a, PlanSpec { family, use_loa }, &dev);
+                for dim in [0, 5, 16, 47] {
+                    let x = DenseMatrix::random_features(256, dim, 7);
+                    let before = plan.workspace_stats();
+                    let priced = plan.execute_run(family, &a, dim, &dev);
+                    assert_eq!(plan.workspace_stats(), before, "pricing touched the cache");
+                    let billed = plan.execute_as(family, &a, &x, &dev).run;
+                    assert_eq!(
+                        priced.time_ms.to_bits(),
+                        billed.time_ms.to_bits(),
+                        "{} (loa {use_loa}) at dim {dim}",
+                        family.name()
+                    );
+                    assert_eq!(priced.profile, billed.profile);
+                }
+            }
+        }
     }
 
     #[test]

@@ -34,9 +34,11 @@
 //!    `workers` threads (an epoch that needs only one worker runs its
 //!    cohorts on the scheduler thread instead); each cohort runs on one
 //!    worker, members in arrival order through the shared plan, every
-//!    member under its own trace-indexed fault stream. A fault mid-cohort degrades only the
-//!    implicated member; poisoned plans are quarantined after the epoch
-//!    barrier (scheduler thread, cohort order — deterministic counters).
+//!    member under its own trace-indexed fault stream. A fault mid-cohort
+//!    degrades only the implicated member; a cohort whose members all
+//!    came back clean is billed as one launch (latency model below).
+//!    Poisoned plans are quarantined after the epoch barrier (scheduler
+//!    thread, cohort order — deterministic counters).
 //!
 //! ## Determinism
 //!
@@ -50,15 +52,30 @@
 //!
 //! ## Latency model (simulated)
 //!
-//! Member *j* of a cohort waits for the cohort's plan (full preparation
-//! on a miss — the price of structure-level batching) and for the
-//! members ahead of it on the shared workspace:
-//! `latency_j = prepare + Σ_{i≤j} (exec_i + wasted_i)`. Cross-cohort
-//! queueing is *not* modeled as latency; queue pressure is modeled as
-//! admission rejection instead, which keeps the metric independent of
-//! the worker count. Preparation cost is *charged* once per cohort (to
-//! its first member) for amortized-cost accounting; a cohort of one is
-//! charged exactly what its miss cost.
+//! Every member of a cohort waits for the cohort's plan (full
+//! preparation on a miss — the price of structure-level batching). What
+//! it waits for after that depends on how the cohort came back:
+//!
+//! - **Clean cohort** (≥ 2 members, every one [`Outcome::Ok`]): the
+//!   cohort is billed as one SpMM `A·[X1|…|Xk]` of width `Σd`, one
+//!   launch instead of k. With `T` that launch's simulated time
+//!   ([`Plan::execute_run`] at `Σd`), member *j* is billed
+//!   `exec_j = T·d_j/Σd` and `latency_j = prepare + T`. The numerics are
+//!   unchanged: each member is still computed on its own, and a row's
+//!   accumulation order does not depend on the width, so every output is
+//!   bit-identical to a solo execute.
+//! - **Any other cohort** (one member, or some member degraded or
+//!   failed): members run one after another on the shared workspace,
+//!   `latency_j = prepare + Σ_{i≤j} (exec_i + wasted_i)`.
+//!
+//! The choice is made after the members ran, from their outcomes, so
+//! every fault draw, retry, fallback, quarantine and output is what
+//! per-member execution produces; only the simulated bill differs.
+//! Cross-cohort queueing is *not* modeled as latency; queue pressure is
+//! modeled as admission rejection instead, which keeps the metric
+//! independent of the worker count. Preparation cost is *charged* once
+//! per cohort (to its first member) for amortized-cost accounting; a
+//! cohort of one is charged exactly what its miss cost.
 //!
 //! ## In-order serving
 //!
@@ -311,14 +328,19 @@ pub struct FrontResponse {
     pub cohort: Option<u64>,
     /// Members in that cohort (≥ 1 when executed, 0 otherwise).
     pub cohort_size: usize,
-    /// Simulated ms of this member's surviving execution.
+    /// Simulated ms of this member's surviving execution. In a clean
+    /// cohort billed as one launch of width `Σd`, the member's share
+    /// `T·d/Σd` of that launch (module docs: latency model).
     pub exec_sim_ms: f64,
     /// Simulated preparation ms *charged* to this member (full cost to a
     /// miss-cohort's first member, 0 to everyone else).
     pub prepare_sim_ms: f64,
     /// Simulated ms of discarded (faulted/invalid) attempts.
     pub wasted_sim_ms: f64,
-    /// Simulated admission-to-completion latency (see module docs).
+    /// Simulated admission-to-completion latency: `prepare + T` for every
+    /// member of a clean cohort billed as one launch of time `T`, else
+    /// `prepare` plus the exec and wasted time of this member and of those
+    /// ahead of it in its cohort (module docs: latency model).
     pub latency_sim_ms: f64,
 }
 
@@ -585,9 +607,10 @@ struct CohortJob<'t> {
 }
 
 /// Run one cohort: its members in arrival order through the shared plan,
-/// each under its own trace-indexed fault stream. A member waits for the
-/// plan and for the members ahead of it on the shared workspace (module
-/// docs: latency model).
+/// each under its own trace-indexed fault stream, then bill it (module
+/// docs: latency model). A clean cohort is re-billed as one launch; any
+/// other keeps the per-member bill, where a member waits for the plan and
+/// for the members ahead of it on the shared workspace.
 fn execute_cohort(
     job: CohortJob<'_>,
     policy: &ResiliencePolicy,
@@ -621,6 +644,9 @@ fn execute_cohort(
             latency_sim_ms: queued,
         });
     }
+    if outs.len() >= 2 && outs.iter().all(|o| matches!(o.outcome, Outcome::Ok(_))) {
+        bill_one_launch(&job, &mut outs, dev, primary);
+    }
     CohortDone {
         id: job.id,
         hit: job.hit,
@@ -629,6 +655,33 @@ fn execute_cohort(
         size: job.members.len(),
         poisoned,
         outs,
+    }
+}
+
+/// Re-bill a clean cohort — every member served by `primary` on its first
+/// try — as the single SpMM `A·[X1|…|Xk]` of width `Σd`: with `T` that
+/// launch's simulated time, member *j* is billed `T·d_j/Σd` of exec and
+/// completes at `prepare + T`. A cohort of zero-width members splits `T`
+/// evenly. Only the bill changes: outputs were computed per member, and
+/// the launch is priced after every member's fault scope has closed, so
+/// no fault stream observes it.
+fn bill_one_launch(
+    job: &CohortJob<'_>,
+    outs: &mut [MemberOut],
+    dev: &DeviceSpec,
+    primary: KernelFamily,
+) {
+    let widths = || job.members.iter().map(|(_, fr)| fr.request.features.cols);
+    let total: usize = widths().sum();
+    let graph = &job.members[0].1.request.graph;
+    let t = job.plan.execute_run(primary, graph, total, dev).time_ms;
+    for (out, d) in outs.iter_mut().zip(widths()) {
+        out.exec_sim_ms = if total == 0 {
+            t / job.members.len() as f64
+        } else {
+            t * d as f64 / total as f64
+        };
+        out.latency_sim_ms = job.prepare_ms + t;
     }
 }
 

@@ -105,6 +105,7 @@ USAGE:
                    [--epoch N] [--max-cohort N] [--slo-ms MS]
                    [--gpu 3090|4090|a100] [--wal PATH]
                    [--snapshot-every N] [--crash-at K] [--recover]
+                   [--fault-rate P] [--fault-seed S] [--max-retries N]
                    serve a request mix under structure churn: edge
                    insert/delete deltas arrive on the control plane
                    between requests, the superseded plan keeps serving
@@ -121,7 +122,8 @@ USAGE:
                    log for a later run with --recover, which rebuilds
                    plans warm (prepare + patch replay), rolls torn WAL
                    tails back to the last fsync marker, and resumes the
-                   trace where durability left off.
+                   trace where durability left off. --fault-rate injects
+                   a device-fault schedule as in serve-load.
   hc-spmm metrics  [--dataset CODE | --edge-list FILE] [--scale N]
                    structural report: degrees, clustering, locality, windows
   hc-spmm loa      [--dataset CODE | --edge-list FILE] [--scale N] [--vw N]
@@ -226,7 +228,7 @@ impl ServeFlags {
                 ms > 0.0
             })?,
             policy: ResiliencePolicy {
-                max_retries: flag_usize(flags, "max-retries", 2)? as u32,
+                max_retries: flag(flags, "max-retries", 2, "a non-negative integer", |_| true)?,
                 faults: FaultConfig::uniform(fault_seed, fault_rate),
                 ..Default::default()
             },
@@ -638,6 +640,20 @@ fn churn_delta(g: &Csr, salt: u64) -> Option<graph_sparse::DeltaCsr> {
 }
 
 fn cmd_serve_churn(flags: &Flags) -> Result<i32, String> {
+    Ok(match serve_churn(flags)? {
+        Some((rep, resumed_at)) => print_churn_report(&rep, resumed_at),
+        None => 0,
+    })
+}
+
+/// What a `serve-churn` run ended with: the report of the epochs it
+/// served and, for a recovered run, the epoch it resumed at; `None` when
+/// an injected crash stopped it.
+type ChurnRun = Option<(hc_serve::FrontReport, Option<usize>)>;
+
+/// `serve-churn` up to its report: build the evolving trace and serve it
+/// through a plain front, or a durable one with `--wal`.
+fn serve_churn(flags: &Flags) -> Result<ChurnRun, String> {
     use hc_serve::{FrontEvent, Mutation};
     let dev = device_for(flags);
     let requests = flag_usize(flags, "requests", 48)?;
@@ -647,11 +663,7 @@ fn cmd_serve_churn(flags: &Flags) -> Result<i32, String> {
     let nodes = flag_usize(flags, "nodes", 1024)?;
     let dim = flag_usize(flags, "dim", 32)?;
     let serve = ServeFlags::parse(flags)?;
-    // Churn serves fault-free: it takes no fault flags.
-    let cfg = FrontConfig {
-        policy: ResiliencePolicy::default(),
-        ..serve.front
-    };
+    let cfg = serve.front;
 
     // Evolving structures: requests always target the *current* version
     // of their graph; every `gap` arrivals one graph takes an edge-churn
@@ -682,12 +694,12 @@ fn cmd_serve_churn(flags: &Flags) -> Result<i32, String> {
          epochs of {}, cache budget {} B, {:?}",
         cfg.arrivals_per_epoch, serve.cache_bytes, dev.kind
     );
+    serve.print_faults();
     let front = Front::new(serve.cache_bytes, PlanSpec::hybrid(), 4, cfg);
     if let Some(wal) = flags.get("wal") {
         return serve_churn_durable(front, &events, &dev, flags, wal);
     }
-    let rep = front.run_events(&events, &dev);
-    Ok(print_churn_report(&rep, None))
+    Ok(Some((front.run_events(&events, &dev), None)))
 }
 
 /// The shared report tail of `serve-churn`: per-mutation patch outcomes,
@@ -769,7 +781,7 @@ fn serve_churn_durable(
     dev: &DeviceSpec,
     flags: &Flags,
     wal: &str,
-) -> Result<i32, String> {
+) -> Result<ChurnRun, String> {
     use gpu_sim::{CrashConfig, CrashScope};
     use hc_serve::{DurabilityConfig, DurableFront};
     use std::path::PathBuf;
@@ -827,13 +839,13 @@ fn serve_churn_durable(
                 crash_at.map_or_else(|| "?".into(), |k| k.to_string()),
                 attempt.delivered.len(),
             );
-            Ok(0)
+            Ok(None)
         }
         None => {
             let rep = attempt
                 .report
                 .expect("an uncrashed attempt always carries its report");
-            Ok(print_churn_report(&rep, resumed_at))
+            Ok(Some((rep, resumed_at)))
         }
     }
 }
@@ -1260,6 +1272,8 @@ mod tests {
             ("--slo-ms", "-3"),
             ("--mutations", "many"),
             ("--epoch", "1.5"),
+            ("--fault-rate", "2"),
+            ("--max-retries", "4294967296"),
         ] {
             assert_eq!(
                 run(vec!["serve-churn".into(), flag.into(), bad.into()]),
@@ -1267,6 +1281,61 @@ mod tests {
                 "{flag} {bad} should be rejected"
             );
         }
+
+        // The fault flags reach the durable front: at rate 1.0 every
+        // launch faults, so every request degrades to the CPU reference
+        // (served, exit 0) and every cohort keeps the per-member bill.
+        let wal =
+            std::env::temp_dir().join(format!("hc-cli-churn-faults-{}.wal", std::process::id()));
+        let wal_s = wal.to_string_lossy().into_owned();
+        let snap = format!("{wal_s}.snap");
+        let args: Vec<String> = [
+            "--requests",
+            "12",
+            "--mutations",
+            "1",
+            "--graphs",
+            "2",
+            "--nodes",
+            "256",
+            "--dim",
+            "8",
+            "--epoch",
+            "4",
+            "--fault-rate",
+            "1.0",
+            "--wal",
+            &wal_s,
+        ]
+        .map(String::from)
+        .to_vec();
+        let cleanup = || {
+            let _ = std::fs::remove_file(&wal);
+            let _ = std::fs::remove_file(&snap);
+        };
+        cleanup();
+        let mut cmd = vec!["serve-churn".to_string()];
+        cmd.extend(args.iter().cloned());
+        assert_eq!(run(cmd), 0);
+        cleanup();
+        let (rep, _) = serve_churn(&parse_flags(args))
+            .expect("valid flags")
+            .expect("no crash is injected");
+        cleanup();
+        let c = rep.counters;
+        assert_eq!((c.ok, c.degraded, c.failed), (0, 12, 0));
+        // A member completes after the members ahead of it in its cohort;
+        // the first one carries the cohort's preparation.
+        let mut queued: HashMap<u64, f64> = HashMap::new();
+        for r in &rep.responses {
+            assert!(r.wasted_sim_ms > 0.0);
+            let q = queued
+                .entry(r.cohort.expect("admitted"))
+                .or_insert(r.prepare_sim_ms);
+            *q += r.exec_sim_ms + r.wasted_sim_ms;
+            assert_eq!(r.latency_sim_ms.to_bits(), q.to_bits());
+        }
+        assert!(queued.len() < 12, "some cohort has several members");
     }
 
     #[test]
@@ -1357,6 +1426,7 @@ mod tests {
             ("--requests", "lots"),
             ("--graphs", "few"),
             ("--max-retries", "-1"),
+            ("--max-retries", "4294967296"),
         ] {
             assert_eq!(
                 run(vec!["batch".into(), flag.into(), bad.into()]),
