@@ -9,8 +9,14 @@
 //! same bit pattern at 1, 2, or 8 threads, and this test pins that down
 //! for all four kernel families on structurally different graphs.
 //!
-//! Single `#[test]` on purpose: the thread override is process-global, so
-//! concurrent tests in one binary would trample each other's setting.
+//! The kernel comparisons run under `ParallelMode::Force`: the graphs here
+//! are small enough that the calibrated pool would run every region
+//! inline, and a comparison that never fans out shows nothing. Each
+//! multithreaded run must count at least one parallel region.
+//!
+//! Single `#[test]` on purpose: the thread override, the parallel mode and
+//! the pool counters are process-global, so concurrent tests in one binary
+//! would trample each other's setting.
 
 use std::sync::Arc;
 
@@ -19,6 +25,7 @@ use graph_sparse::{gen, Csr, DenseMatrix};
 use hc_core::{
     CudaSpmm, HcSpmm, PlanSpec, ResiliencePolicy, SpmmKernel, StraightforwardHybrid, TensorSpmm,
 };
+use hc_parallel::ParallelMode;
 use hc_serve::{CacheStats, Front, FrontRequest, Outcome, Request, TenantId};
 
 #[test]
@@ -40,6 +47,7 @@ fn kernel_outputs_bit_identical_across_thread_counts() {
     ];
 
     let saved = hc_parallel::thread_override();
+    hc_parallel::set_parallel_mode(ParallelMode::Force);
     for (graph_name, a) in &graphs {
         let x = DenseMatrix::random_features(a.nrows, 32, 7);
         for (family, kernel) in &kernels {
@@ -47,7 +55,12 @@ fn kernel_outputs_bit_identical_across_thread_counts() {
             let serial = kernel.spmm(a, &x, &dev).z;
             for threads in [2, 8] {
                 hc_parallel::set_threads(threads);
+                hc_parallel::reset_pool_stats();
                 let parallel = kernel.spmm(a, &x, &dev).z;
+                assert!(
+                    hc_parallel::pool_stats().parallel_regions > 0,
+                    "{family} on {graph_name} at {threads} threads never fanned out"
+                );
                 assert_eq!(
                     serial, parallel,
                     "{family} on {graph_name}: output at {threads} threads \
@@ -56,6 +69,7 @@ fn kernel_outputs_bit_identical_across_thread_counts() {
             }
         }
     }
+    hc_parallel::set_parallel_mode(ParallelMode::Auto);
 
     // The in-order serving front inherits the same guarantee: a request
     // stream served through the plan cache yields bit-identical outputs,

@@ -11,13 +11,20 @@
 //! of the features each are exact TF32 and BF16 rounding ties (odd and
 //! even kept LSBs), so a drifting tie rule shows up too.
 //!
-//! Single `#[test]` on purpose: the thread override is process-global, so
-//! concurrent tests in one binary would trample each other's setting.
+//! The suite runs under `ParallelMode::Force`: on its 384-vertex graphs
+//! the calibrated pool would run every region inline, so the 2- and
+//! 8-thread comparisons would compare serial runs. Each of them must count
+//! at least one parallel region.
+//!
+//! Single `#[test]` on purpose: the thread override, the parallel mode and
+//! the pool counters are process-global, so concurrent tests in one binary
+//! would trample each other's setting.
 
 use gpu_sim::precision::{f16_to_f32, f32_to_f16};
 use gpu_sim::{DeviceSpec, Precision};
 use graph_sparse::{gen, Csr, DenseMatrix, RowWindowPartition};
 use hc_core::{CoreChoice, HcSpmm, KernelFamily, Plan, PlanSpec, StraightforwardHybrid};
+use hc_parallel::ParallelMode;
 
 const DIMS: [usize; 6] = [1, 7, 16, 29, 74, 97];
 const THREADS: [usize; 3] = [1, 2, 8];
@@ -162,6 +169,7 @@ fn every_numeric_entry_point_matches_the_scalar_oracle_bit_for_bit() {
     // per-window and per-entry precision logic goes untested.
     let (mut choices_seen, mut tiles_seen) = ([false; 2], [false; 2]);
     let saved = hc_parallel::thread_override();
+    hc_parallel::set_parallel_mode(ParallelMode::Force);
     for (gi, (graph, g)) in graphs.into_iter().enumerate() {
         let a = with_values(g, 100 + gi as u64);
         for (config, hc) in &configs {
@@ -189,6 +197,7 @@ fn every_numeric_entry_point_matches_the_scalar_oracle_bit_for_bit() {
                 let wants = KernelFamily::ALL.map(want);
                 for threads in THREADS {
                     hc_parallel::set_threads(threads);
+                    hc_parallel::reset_pool_stats();
                     let at = |entry: &str| {
                         format!("{entry} on {graph}, {config}, dim {dim}, {threads} threads")
                     };
@@ -208,10 +217,16 @@ fn every_numeric_entry_point_matches_the_scalar_oracle_bit_for_bit() {
                             &at(&format!("Plan::execute_as({})", family.name())),
                         );
                     }
+                    assert!(
+                        threads == 1 || hc_parallel::pool_stats().parallel_regions > 0,
+                        "{}: no region fanned out",
+                        at("every entry point")
+                    );
                 }
             }
         }
     }
+    hc_parallel::set_parallel_mode(ParallelMode::Auto);
     hc_parallel::set_threads(saved);
     assert_eq!(
         choices_seen,

@@ -1,7 +1,7 @@
 //! Crash-safe file persistence shared across the workspace.
 //!
 //! Every on-disk artifact the workspace writes — the host calibration
-//! cache, `BENCH.json`, serving snapshots — must survive a crash mid-write
+//! cache, serving snapshots — must survive a crash mid-write
 //! without ever being observed half-written. The standard recipe is the
 //! same everywhere: write the full contents to a temporary sibling, fsync
 //! it, then atomically rename over the destination. Before this module the

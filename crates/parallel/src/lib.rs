@@ -201,10 +201,13 @@ fn measure_calibration() -> Calibration {
 /// The lazily measured host [`Calibration`] (one measurement per process,
 /// a few hundred microseconds on first use).
 ///
-/// Measurements persist to `target/hc-calibration.json` keyed by core
-/// count (override the location with `HC_CALIBRATION_PATH`, disable
-/// persistence by setting it empty), so repeated bench runs skip the
-/// re-measurement. An absent, unparsable or out-of-range entry falls
+/// Measurements persist to `target/<profile>/hc-calibration.json` keyed
+/// by core count (override the location with `HC_CALIBRATION_PATH`,
+/// disable persistence by setting it empty), so repeated bench runs skip
+/// the re-measurement. Each build profile keeps its own file: a debug
+/// build times the per-unit loop tens of times slower than a release
+/// build, and would make a release process fan out regions too small to
+/// repay it. An absent, unparsable or out-of-range entry falls
 /// back to a fresh measurement. Under an active `hc-check` model run a
 /// fixed synthetic calibration is returned instead, keeping the
 /// engagement decision deterministic across explored interleavings.
@@ -234,27 +237,32 @@ pub fn calibration() -> Calibration {
 }
 
 /// Where calibration entries persist: `HC_CALIBRATION_PATH` when set
-/// (empty string disables persistence), else `hc-calibration.json` inside
-/// the enclosing cargo `target` directory (found by walking up from the
-/// running executable), else `target/hc-calibration.json` relative to the
-/// working directory.
+/// (empty string disables persistence), else `hc-calibration.json` in the
+/// build profile's directory of the cargo target directory that holds the
+/// running executable (see [`profile_calibration_path`]). An executable
+/// outside a target directory persists nothing.
 fn calibration_path() -> Option<std::path::PathBuf> {
     match std::env::var("HC_CALIBRATION_PATH") {
         Ok(v) if v.is_empty() => None,
         Ok(v) => Some(std::path::PathBuf::from(v)),
-        Err(_) => {
-            let from_exe = std::env::current_exe().ok().and_then(|exe| {
-                exe.ancestors()
-                    .find(|a| a.file_name().is_some_and(|n| n == "target"))
-                    .map(|t| t.join("hc-calibration.json"))
-            });
-            Some(
-                from_exe.unwrap_or_else(|| {
-                    std::path::PathBuf::from("target").join("hc-calibration.json")
-                }),
-            )
-        }
+        Err(_) => std::env::current_exe()
+            .ok()
+            .and_then(|exe| profile_calibration_path(&exe)),
     }
+}
+
+/// `target/<profile>/hc-calibration.json` for an executable anywhere under
+/// `target/<profile>/` (binaries, `deps/` test binaries, `examples/`), or
+/// `None` when no ancestor of `exe` sits directly in a `target` directory.
+fn profile_calibration_path(exe: &std::path::Path) -> Option<std::path::PathBuf> {
+    exe.ancestors()
+        .skip(1)
+        .find(|a| {
+            a.parent()
+                .and_then(std::path::Path::file_name)
+                .is_some_and(|n| n == "target")
+        })
+        .map(|profile| profile.join("hc-calibration.json"))
 }
 
 /// Every numeric value following `"key":` occurrences in `text`, in order.
@@ -876,6 +884,32 @@ mod tests {
 
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_dir(&dir);
+    }
+
+    #[test]
+    fn each_build_profile_persists_its_own_calibration() {
+        use std::path::Path;
+        let at = |exe: &str| profile_calibration_path(Path::new(exe));
+        let debug = Path::new("/w/target/debug/hc-calibration.json");
+        let release = Path::new("/w/target/release/hc-calibration.json");
+        assert_eq!(
+            at("/w/target/debug/deps/determinism-0a1b").as_deref(),
+            Some(debug)
+        );
+        assert_eq!(at("/w/target/debug/hc-spmm").as_deref(), Some(debug));
+        assert_eq!(at("/w/target/release/run_all").as_deref(), Some(release));
+        assert_eq!(
+            at("/w/target/release/examples/quickstart").as_deref(),
+            Some(release)
+        );
+        // The innermost `target` wins; an executable outside one persists
+        // nothing.
+        assert_eq!(
+            at("/target/x/target/release/deps/t").as_deref(),
+            Some(Path::new("/target/x/target/release/hc-calibration.json"))
+        );
+        assert_eq!(at("/usr/local/bin/hc-spmm"), None);
+        assert_eq!(at("/w/target/hc-spmm"), None);
     }
 
     #[test]

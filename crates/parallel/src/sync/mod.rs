@@ -828,11 +828,16 @@ pub mod thread {
     }
 
     /// Host parallelism (`std::thread::available_parallelism`), with a
-    /// floor of 1.
+    /// floor of 1. Read once per process: the standard call reads cgroup
+    /// files on Linux (tens of microseconds), and the pool asks on every
+    /// parallel region that has no thread override.
     pub fn available_parallelism() -> usize {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
+        static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+        *CORES.get_or_init(|| {
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1)
+        })
     }
 
     /// Cooperative yield: a scheduling point under the model, an OS yield

@@ -15,8 +15,8 @@
 //! version-robust.
 //!
 //! Snapshots are written with [`hc_parallel::fsio::atomic_write`]
-//! (temp + fsync + rename, the same helper behind
-//! `target/hc-calibration.json`): a crash mid-snapshot leaves the previous
+//! (temp + fsync + rename, the same helper behind the pool's persisted
+//! calibration): a crash mid-snapshot leaves the previous
 //! snapshot intact, never a torn one. Loading re-validates everything —
 //! header, trailing checksum, [`Csr::validate`] per graph, fingerprint
 //! match per graph — and maps every defect class to a typed
