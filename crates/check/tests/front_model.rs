@@ -2,10 +2,12 @@
 //! the interleavings of (a) the facade bounded channel the front feeds
 //! its workers with — producers racing a consumer, typed overflow under
 //! race — and (b) the front pipeline itself: an end-to-end `run_trace`
-//! at two workers, and an admission+drain run racing a quarantine on
-//! the shared cache. Every test asserts no race, no deadlock, no panic,
-//! and an acyclic lock-order graph (front classes never invert
-//! `plan-shard → quarantine-registry`).
+//! at two workers, an admission+drain run racing a quarantine on the
+//! shared cache, and two fronts on one cache screening the same graph
+//! `Arc` at once. Every test asserts no race, no deadlock, no panic, and
+//! an acyclic lock-order graph (front classes never invert
+//! `plan-shard → quarantine-registry`, and the cache's `screen-memo`
+//! lock is a leaf).
 //!
 //! Runs only under `RUSTFLAGS="--cfg hc_check"` with
 //! `--test-threads=1` (the model scheduler is process-global). Graphs
@@ -242,6 +244,70 @@ fn admission_and_drain_racing_quarantine_are_clean() {
             .iter()
             .any(|e| e.from == "plan-shard" && e.to == "quarantine-registry"),
         "expected shard→registry acquisition edge: {}",
+        report.summary()
+    );
+}
+
+/// Two fronts on one cache screen the same graph `Arc` at once. The
+/// screen validates and hashes outside its memo lock, so under some
+/// interleavings both fronts screen the allocation and under others one
+/// recalls the other's verdict: the outcome set is exactly {1, 2}
+/// screens. Under every interleaving both fronts serve the same output,
+/// the memo ends with one entry, and the `screen-memo` lock is a leaf:
+/// no lock is held while it is taken and none is taken under it.
+#[test]
+fn two_fronts_screening_one_graph_are_clean() {
+    hc_parallel::set_threads(1);
+    let gs = tiny_graphs(1);
+    let g = Arc::new(gs[0].clone());
+    let dev = DeviceSpec::rtx3090();
+    let report = check_with("front-shared-screen", opts(2048), || {
+        let cache = Arc::new(SharedPlanCache::new(u64::MAX / 4, PlanSpec::hybrid(), 2));
+        let fronts: Vec<_> = (0..2u32)
+            .map(|k| {
+                let cache = Arc::clone(&cache);
+                let trace = vec![FrontRequest {
+                    tenant: TenantId(k),
+                    request: Request {
+                        graph: Arc::clone(&g),
+                        features: DenseMatrix::random_features(g.ncols, 4, 0),
+                    },
+                }];
+                let dev = dev.clone();
+                thread::spawn(move || {
+                    let cfg = FrontConfig {
+                        workers: 1,
+                        ..Default::default()
+                    };
+                    let rep = Front::with_cache(cache, cfg).run_trace(&trace, &dev);
+                    rep.responses[0].outcome.z().cloned()
+                })
+            })
+            .collect();
+        let outs: Vec<_> = fronts
+            .into_iter()
+            .map(|h| h.join().expect("front thread"))
+            .collect();
+        assert!(outs[0].is_some(), "the graph is served");
+        assert_eq!(outs[0], outs[1], "both fronts serve the same output");
+        let s = cache.screen_stats();
+        assert_eq!(s.entries, 1, "one memo entry per allocation");
+        assert_eq!(s.screens + s.recalls, 2);
+        s.screens
+    });
+    report.assert_clean();
+    assert_eq!(report.outcomes, vec![1, 2], "{}", report.summary());
+    assert!(
+        report.lock_cycles.is_empty(),
+        "lock-order graph must be acyclic: {}",
+        report.summary()
+    );
+    assert!(
+        report
+            .lock_edges
+            .iter()
+            .all(|e| e.from != "screen-memo" && e.to != "screen-memo"),
+        "screen-memo must be a leaf: {}",
         report.summary()
     );
 }

@@ -64,8 +64,13 @@ pub(crate) fn assert_operand_rows(a: &Csr, x_rows: usize) {
 /// `A · X` into `z` (row-major, `x.cols` columns, row `rows.start` at
 /// offset 0). Each sparse value and dense operand is quantized at `p` and
 /// the products add up in f32 in CSR entry order — the WMMA contract on
-/// quantized paths, exact f32 SpMM at [`Precision::Fp32`]. The per-entry
-/// update is one [`Precision::axpy`] over the whole output row.
+/// quantized paths, exact f32 SpMM at [`Precision::Fp32`].
+///
+/// The precision is matched once per call — per window on the hybrid and
+/// tensor paths, per row on the CUDA path — and each arm runs the row
+/// loop with its quantizer inlined, so no stored entry dispatches. The
+/// arithmetic is [`Precision::axpy`]'s, in the same order: quantize the
+/// value, then `z[j] += a · q(x[j])` for each entry in CSR order.
 pub(crate) fn numeric_rows(
     p: Precision,
     a: &Csr,
@@ -73,12 +78,32 @@ pub(crate) fn numeric_rows(
     x: &DenseMatrix,
     z: &mut [f32],
 ) {
+    match p {
+        Precision::Fp32 => quantized_rows(a, rows, x, z, |v| Precision::Fp32.quantize(v)),
+        Precision::Tf32 => quantized_rows(a, rows, x, z, |v| Precision::Tf32.quantize(v)),
+        Precision::Bf16 => quantized_rows(a, rows, x, z, |v| Precision::Bf16.quantize(v)),
+        Precision::Fp16 => quantized_rows(a, rows, x, z, |v| Precision::Fp16.quantize(v)),
+    }
+}
+
+/// [`numeric_rows`] at one precision, given as its quantizer `q`.
+#[inline(always)]
+fn quantized_rows(
+    a: &Csr,
+    rows: Range<usize>,
+    x: &DenseMatrix,
+    z: &mut [f32],
+    q: impl Fn(f32) -> f32,
+) {
     let cols = x.cols;
     for (local, r) in rows.enumerate() {
         let zrow = &mut z[local * cols..(local + 1) * cols];
         let (s, e) = a.row_range(r);
         for i in s..e {
-            p.axpy(zrow, p.quantize(a.vals[i]), x.row(a.col_idx[i] as usize));
+            let v = q(a.vals[i]);
+            for (o, &xv) in zrow.iter_mut().zip(x.row(a.col_idx[i] as usize)) {
+                *o += v * q(xv);
+            }
         }
     }
 }

@@ -72,10 +72,15 @@ impl Precision {
         }
     }
 
-    /// The numeric row update of every host SpMM kernel:
+    /// One row update at this precision:
     /// `z[j] += a * self.quantize(x[j])` for each `j`. `a` is the caller's
     /// (already quantized) sparse value; `z` and `x` are one output row and
-    /// one dense-operand row of equal length.
+    /// one dense-operand row of equal length. Its callers are the
+    /// Straightforward family, which picks the precision per tile, and
+    /// the FP16 baselines (Sputnik, TileCSR). The HC row loop
+    /// (`hc_core`'s hybrid, tensor and CUDA numerics) matches the
+    /// precision once per window or row and runs the same arithmetic
+    /// inline.
     ///
     /// The precision is matched once, outside the loop, so each arm is a
     /// straight-line loop over independent lanes that the compiler

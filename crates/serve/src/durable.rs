@@ -54,8 +54,9 @@ use hc_core::{Plan, PlanSpec};
 
 use crate::front::{
     EpochEnd, EpochSink, Front, FrontCounters, FrontEvent, FrontReport, FrontResponse,
-    MutationOutcome, Screen,
+    MutationOutcome,
 };
+use crate::shared::SharedPlanCache;
 use crate::snapshot::Snapshot;
 use crate::wal::{DeltaRecord, EpochMarker, RecoveryError, Wal};
 
@@ -234,7 +235,7 @@ impl DurableFront {
 
         // Root-materialized graphs: available without applying any
         // delta — the trace's own graphs plus the snapshot's.
-        let mut roots = trace_graphs(events, &mut Screen::default());
+        let mut roots = trace_graphs(events, front.cache());
         if cfg.snapshot_path.exists() {
             let snap = Snapshot::load(&cfg.snapshot_path)?;
             stats.restored_graphs = snap.graphs.len() as u64;
@@ -325,10 +326,9 @@ impl DurableFront {
         dev: &DeviceSpec,
     ) -> Result<RunAttempt, RecoveryError> {
         let t0 = Instant::now();
-        // One screen for the whole call: collecting the trace's graphs
-        // fills it, and the front reuses it for every request.
-        let mut screen = Screen::default();
-        for (fp, g) in trace_graphs(events, &mut screen) {
+        // Collecting the trace's graphs screens each allocation through
+        // the cache; the front recalls those verdicts for every request.
+        for (fp, g) in trace_graphs(events, self.front.cache()) {
             self.graphs.entry(fp).or_insert(g);
         }
         let mut sink = DurableSink {
@@ -345,7 +345,6 @@ impl DurableFront {
             dev,
             self.resume_epoch,
             self.counters_seed,
-            &mut screen,
             &mut sink,
         ) {
             Ok(counters) => Ok(RunAttempt {
@@ -439,12 +438,12 @@ pub fn run_to_completion(
 /// Every valid graph the trace itself carries, by fingerprint:
 /// serve-request graphs and mutation bases. These are "root-materialized"
 /// — recovery gets them for free, without applying any delta. Each
-/// distinct `Arc` is screened once; a graph that fails validation is
-/// skipped, because the front never serves it, so it is never a
-/// recovery root.
-fn trace_graphs<'t>(
-    events: &'t [FrontEvent],
-    screen: &mut Screen<'t>,
+/// allocation is screened through `cache`, once for the cache's
+/// lifetime; a graph that fails validation is skipped, because the front
+/// never serves it, so it is never a recovery root.
+fn trace_graphs(
+    events: &[FrontEvent],
+    cache: &SharedPlanCache,
 ) -> HashMap<StructureFingerprint, Arc<Csr>> {
     let mut m: HashMap<StructureFingerprint, Arc<Csr>> = HashMap::new();
     for ev in events {
@@ -452,7 +451,7 @@ fn trace_graphs<'t>(
             FrontEvent::Serve(fr) => &fr.request.graph,
             FrontEvent::Mutate(mu) => &mu.base,
         };
-        if let Ok(fp) = screen.graph(g) {
+        if let Ok(fp) = cache.screen(g) {
             m.entry(fp).or_insert_with(|| Arc::clone(g));
         }
     }

@@ -23,7 +23,12 @@
 //!    exhausted per-tenant epoch quota with
 //!    [`OverloadReason::TenantQuota`]. Hostile inputs (malformed graph,
 //!    shape mismatch) are admitted but complete immediately as
-//!    [`Outcome::Failed`] with no cache traffic.
+//!    [`Outcome::Failed`] with no cache traffic. The graph is validated
+//!    and fingerprinted through the cache's structure screen, once per
+//!    allocation for the cache's lifetime: every front on one cache
+//!    recalls the verdicts the others computed. While the cache lives,
+//!    `Arc::get_mut` on a screened graph returns `None` and
+//!    `Arc::make_mut` copies it to a new allocation, screened afresh.
 //! 2. **Cohort formation** — admitted requests grouped by structure
 //!    fingerprint in first-arrival order, chunked at
 //!    [`FrontConfig::max_cohort`]; cohort ids are global and sequential.
@@ -88,7 +93,8 @@
 //!
 //! ## Lock order
 //!
-//! `front-queue` / `front-results` → `plan-shard` → `quarantine-registry`.
+//! `front-queue` / `front-results` → `plan-shard` → `quarantine-registry`;
+//! the cache's `screen-memo` lock is a leaf outside that chain.
 //! In practice the front never holds its own locks across a cache call:
 //! resolution and quarantine run lock-free on the scheduler thread, and
 //! workers take `front-results` only *after* device execution returns
@@ -97,12 +103,11 @@
 //! stays acyclic.
 
 use std::collections::HashMap;
-use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::Instant;
 
 use gpu_sim::DeviceSpec;
-use graph_sparse::{Csr, CsrError, DeltaCsr, DenseMatrix, StructureFingerprint};
+use graph_sparse::{Csr, DeltaCsr, DenseMatrix, StructureFingerprint};
 use hc_core::{
     execute_resilient_keyed, FallbackStep, HcError, KernelFamily, OverloadReason, Plan, PlanSpec,
     ResiliencePolicy,
@@ -499,40 +504,9 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-/// One serving call's structure screen: each distinct graph `Arc` the
-/// call's trace carries is validated, and fingerprinted when valid, at
-/// most once. Every later request, cohort lookup, resilient execute,
-/// stale mark and patch check on that `Arc` reuses the result.
-///
-/// The memo keys on identity (`Arc::as_ptr`), never on structure or
-/// values: two `Arc`s with equal structure but different `vals` are each
-/// validated (validation reads the values). Keying on an address is
-/// sound because the screen borrows every graph it has seen for `'t`,
-/// the lifetime of the call's `events` borrow: while it lives, no
-/// screened `Csr` can be freed (so its address cannot be reused by
-/// another graph) and none can change (an `Arc`'d `Csr` behind a shared
-/// borrow is immutable).
-#[derive(Default)]
-pub(crate) struct Screen<'t> {
-    seen: HashMap<*const Csr, Result<StructureFingerprint, CsrError>>,
-    graphs: PhantomData<&'t Csr>,
-}
-
-impl<'t> Screen<'t> {
-    /// `g`'s fingerprint, or the typed error its validation failed with;
-    /// computed on the first call for this `Arc`, recalled after.
-    pub(crate) fn graph(&mut self, g: &'t Arc<Csr>) -> Result<StructureFingerprint, HcError> {
-        self.seen
-            .entry(Arc::as_ptr(g))
-            .or_insert_with(|| g.validate().map(|()| StructureFingerprint::of(g)))
-            .clone()
-            .map_err(HcError::BadInput)
-    }
-}
-
 /// The per-request half of the screen: the feature matrix must have one
-/// row per graph column. The graph itself is validated once per call by
-/// the [`Screen`].
+/// row per graph column. The graph itself is validated once per
+/// allocation by the cache's structure screen.
 fn check_shape(req: &Request) -> Result<(), HcError> {
     if req.features.rows != req.graph.ncols {
         return Err(HcError::ShapeMismatch {
@@ -889,17 +863,11 @@ impl Front {
     fn collect<A: Arrival>(&self, trace: &[A], dev: &DeviceSpec) -> FrontReport {
         let t0 = Instant::now();
         let mut sink = CollectSink::default();
-        let counters = match self.run_events_from(
-            trace,
-            dev,
-            0,
-            FrontCounters::default(),
-            &mut Screen::default(),
-            &mut sink,
-        ) {
-            Ok(counters) => counters,
-            Err(halt) => match halt {},
-        };
+        let counters =
+            match self.run_events_from(trace, dev, 0, FrontCounters::default(), &mut sink) {
+                Ok(counters) => counters,
+                Err(halt) => match halt {},
+            };
         self.assemble_report(sink.responses, counters, sink.mutations, t0)
     }
 
@@ -916,16 +884,14 @@ impl Front {
     /// its report from what its sink holds. Returns the cumulative
     /// pre-aggregation counters after the last epoch.
     ///
-    /// `screen` validates and fingerprints each distinct graph `Arc` in
-    /// `events` once; the durability layer passes the screen it already
-    /// filled while collecting the trace's graphs.
-    pub(crate) fn run_events_from<'t, A: Arrival, S: EpochSink>(
+    /// Every graph is screened through the cache, which validates and
+    /// fingerprints each allocation once for its lifetime.
+    pub(crate) fn run_events_from<A: Arrival, S: EpochSink>(
         &self,
-        events: &'t [A],
+        events: &[A],
         dev: &DeviceSpec,
         start_epoch: usize,
         counters_seed: FrontCounters,
-        screen: &mut Screen<'t>,
         sink: &mut S,
     ) -> Result<FrontCounters, S::Halt> {
         let cfg = self.cfg;
@@ -963,7 +929,7 @@ impl Front {
                     ArrivalRef::Serve(fr) => fr,
                     ArrivalRef::Mutate(m) => {
                         counters.mutations += 1;
-                        let base_fp = screen.graph(&m.base);
+                        let base_fp = self.cache.screen(&m.base).map_err(HcError::BadInput);
                         if let Ok(fp) = base_fp {
                             self.cache.mark_stale(fp);
                         }
@@ -1004,9 +970,12 @@ impl Front {
                 *per_tenant.entry(fr.tenant).or_insert(0) += 1;
                 // Screen hostile inputs now: they complete immediately,
                 // with no cohort and no cache traffic. The graph's screen
-                // runs once per `Arc`; the shape check, per request.
-                let screened = screen
-                    .graph(&fr.request.graph)
+                // runs once per allocation per cache; the shape check,
+                // per request.
+                let screened = self
+                    .cache
+                    .screen(&fr.request.graph)
+                    .map_err(HcError::BadInput)
                     .and_then(|fp| check_shape(&fr.request).map(|()| fp));
                 match screened {
                     Ok(fp) => admitted.push((ti, fr, fp)),

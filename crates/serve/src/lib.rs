@@ -40,6 +40,7 @@ pub mod cache;
 mod codec;
 pub mod durable;
 pub mod front;
+mod screen;
 pub mod shared;
 pub mod snapshot;
 pub mod wal;
@@ -52,6 +53,7 @@ pub use front::{
     Front, FrontConfig, FrontCounters, FrontEvent, FrontReport, FrontRequest, FrontResponse,
     LatencyStats, Mutation, MutationOutcome, Outcome, Request, TenantId, TenantStats,
 };
+pub use screen::ScreenStats;
 pub use shared::{Lookup, SharedPlanCache, SwapOutcome};
 pub use snapshot::Snapshot;
 pub use wal::{DeltaRecord, EpochMarker, RecoveryError, Wal, WalRecord, WalReplay};

@@ -36,6 +36,13 @@
 //!   the old plan; that is inherent (the fault had not been reported
 //!   yet), identical to the single-threaded cache.
 //!
+//! * **The structure screen is a leaf.** The cache owns the screen memo
+//!   (`Screen`, in `screen.rs`) that every front on it validates and
+//!   fingerprints graphs through, once per allocation for the cache's
+//!   lifetime. Its `screen-memo` lock is held only to probe or insert,
+//!   never with a shard or the registry held and never across execution;
+//!   validation and hashing run outside it.
+//!
 //! Counter semantics are inherited per shard: within each shard
 //! `requests == hits + misses` and `rejected <= misses`, and both
 //! invariants survive aggregation ([`stats`](SharedPlanCache::stats)
@@ -46,11 +53,12 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use gpu_sim::DeviceSpec;
-use graph_sparse::{Csr, StructureFingerprint};
+use graph_sparse::{Csr, CsrError, StructureFingerprint};
 use hc_core::{Plan, PlanSpec, WorkspaceStats};
 use hc_parallel::sync::Mutex;
 
 use crate::cache::{CacheStats, PlanCache, ResidentEntry, ShardState};
+use crate::screen::{Screen, ScreenStats};
 
 /// One lookup's result: the plan, whether it came from the cache, and
 /// whether the served plan is stale (superseded by a mutation whose
@@ -85,6 +93,7 @@ pub struct SharedPlanCache {
     shards: Vec<Mutex<PlanCache>>,
     mask: usize,
     quarantine: Mutex<HashSet<StructureFingerprint>>,
+    screen: Screen,
     spec: PlanSpec,
 }
 
@@ -100,8 +109,25 @@ impl SharedPlanCache {
                 .collect(),
             mask: n - 1,
             quarantine: Mutex::named("quarantine-registry", HashSet::new()),
+            screen: Screen::default(),
             spec,
         }
+    }
+
+    /// `g`'s fingerprint, or the typed error its validation failed with.
+    /// Each allocation is screened once for as long as this cache lives
+    /// and recalled after, by every front on the cache (see `Screen` for
+    /// why keying on the allocation is sound).
+    pub(crate) fn screen(&self, g: &Arc<Csr>) -> Result<StructureFingerprint, CsrError> {
+        self.screen.graph(g)
+    }
+
+    /// How often this cache's structure screen validated a graph
+    /// allocation and how often it recalled a verdict, and how many
+    /// entries its memo holds. The memo is not persisted, and these
+    /// counters are not part of [`CacheStats`].
+    pub fn screen_stats(&self) -> ScreenStats {
+        self.screen.stats()
     }
 
     fn shard_index(&self, fp: StructureFingerprint) -> usize {
