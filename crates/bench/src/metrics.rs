@@ -1,8 +1,8 @@
-//! Minimal JSON reader for the bench tools. The workspace has no
-//! serializer backend (the vendored `serde` is a marker shim), so this is
-//! a small recursive-descent parser: objects keep their key order, numbers
-//! parse as `f64`, and escape sequences are decoded. `perf_pairs` reads
-//! `BENCHMARK.json` and the benchmark's result lines with it.
+//! Minimal JSON reader for the bench tools. The workspace depends on no
+//! serialization library, so this is a small recursive-descent parser:
+//! objects keep their key order, numbers parse as `f64`, and escape
+//! sequences are decoded. `perf_pairs` reads `BENCHMARK.json` and the
+//! benchmark's result lines with it.
 
 /// Minimal JSON value.
 #[derive(Debug, Clone, PartialEq)]

@@ -7,10 +7,9 @@
 //! time by under 10 % and are deliberately ignored.
 
 use graph_sparse::RowWindow;
-use serde::{Deserialize, Serialize};
 
 /// The selector's feature vector for one row window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowFeatures {
     /// Number of non-zero columns (`x1` in the encoded model).
     pub nnz_cols: f64,

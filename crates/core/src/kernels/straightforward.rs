@@ -169,9 +169,10 @@ impl StraightforwardHybrid {
 
     /// The single emitter behind both representations: each sub-phase
     /// records into the shared sink, separated by block-wide barriers, with
-    /// its shared region allocated past the previous phase's (what
-    /// `BlockTrace::append_sequential` used to do by rebasing — here the
-    /// sink's allocation cursor does it for event and counter mode alike).
+    /// its shared region allocated past the previous phase's: the sink's
+    /// allocation cursor ([`alloc_shared`](TraceSink::alloc_shared)) hands
+    /// each phase the words after the last one's, in event and counter
+    /// mode alike.
     pub fn window_trace_into<S: TraceSink>(
         &self,
         w: &RowWindow,

@@ -12,14 +12,13 @@
 
 use gpu_sim::DeviceSpec;
 use graph_sparse::gen;
-use serde::{Deserialize, Serialize};
 
 use crate::features::WindowFeatures;
 use crate::kernels::cuda::CudaSpmm;
 use crate::kernels::tensor::TensorSpmm;
 
 /// Which core type processes a row window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CoreChoice {
     /// CUDA cores (label 1 in the paper's training data).
     Cuda,
@@ -28,7 +27,7 @@ pub enum CoreChoice {
 }
 
 /// The encoded logistic-regression model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Selector {
     /// Coefficient of the non-zero-column count (`x1`).
     pub w1: f64,
@@ -87,8 +86,8 @@ impl Selector {
     /// standardization into raw-feature coefficients.
     ///
     /// The gradient step is taken every epoch, but the loss — needed only
-    /// for the convergence test — is evaluated every [`LOSS_STRIDE`]th
-    /// epoch via the softplus identity
+    /// for the convergence test — is evaluated every eighth epoch
+    /// (`LOSS_STRIDE`) via the softplus identity
     /// `−[y·ln p + (1−y)·ln(1−p)] = softplus(z) − y·z`, which reuses the
     /// sigmoid's `exp` and needs one `ln_1p` instead of two `ln`s. The
     /// weight trajectory is identical to checking every epoch; at worst

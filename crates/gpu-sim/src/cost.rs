@@ -4,13 +4,11 @@
 //! performed; [`DeviceSpec::execute`](crate::DeviceSpec::execute) converts a
 //! batch of blocks into simulated time.
 
-use serde::{Deserialize, Serialize};
-
 use crate::device::DeviceSpec;
 use crate::profile::KernelProfile;
 
 /// Global-memory traffic of one thread block.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DramTraffic {
     /// Bytes read from global memory (after coalescing: whole transactions).
     pub bytes_loaded: u64,
@@ -30,7 +28,7 @@ impl DramTraffic {
 }
 
 /// Shared-memory traffic of one thread block.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SharedTraffic {
     /// Warp-wide shared loads issued.
     pub loads: u64,
@@ -54,7 +52,7 @@ impl SharedTraffic {
 /// `cuda_fma_issues` and `wmma_issues` are *warp-wide* issue counts: one
 /// `cuda_fma_issues` unit is 32 lanes doing one FMA each; one `wmma_issues`
 /// unit is one WMMA fragment multiply-accumulate by one warp.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct BlockCost {
     /// Warp-wide FP32 FMA issues on the CUDA cores.
     pub cuda_fma_issues: u64,
@@ -180,7 +178,7 @@ impl BlockCost {
 }
 
 /// Result of simulating one kernel (or a fused sequence).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct KernelRun {
     /// Simulated wall-clock time in milliseconds.
     pub time_ms: f64,

@@ -8,16 +8,13 @@
 //! dense dimension 32 lands near the 83 % sparsity the paper measures. No
 //! per-dataset or per-baseline tuning exists anywhere in the workspace.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cost::{BlockCost, KernelRun};
 use crate::faults;
-use crate::precision::Precision;
 use crate::profile::KernelProfile;
 use crate::scheduler;
 
 /// Which physical board the spec models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceKind {
     /// Nvidia GeForce RTX 3090 (Ampere, GA102) — the paper's main platform.
     Rtx3090,
@@ -54,7 +51,7 @@ impl DeviceKind {
 /// assert!(run.time_ms > 0.0);
 /// assert_eq!(run.profile.blocks, 82);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DeviceSpec {
     /// Board identity (controls nothing by itself; presets fill the fields).
     pub kind: DeviceKind,
@@ -191,14 +188,6 @@ impl DeviceSpec {
             return self.max_blocks_per_sm;
         }
         (self.shared_mem_per_sm / shared_bytes_per_block).clamp(1, self.max_blocks_per_sm)
-    }
-
-    /// Cycles for one WMMA issue at the given precision. Half-precision tile
-    /// shapes (m16n16k16) move twice the K elements per issue, so fewer
-    /// issues are needed; per-issue cost is the same pipe.
-    pub fn wmma_cycles_for(&self, p: Precision) -> f64 {
-        let _ = p;
-        self.wmma_cycles
     }
 
     /// Simulate the execution of one kernel consisting of `blocks` thread

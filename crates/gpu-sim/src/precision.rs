@@ -7,8 +7,6 @@
 //! the hardware does. This makes precision choice observable in the numerics
 //! (Appendix B's Table VII experiment) rather than a cosmetic flag.
 
-use serde::{Deserialize, Serialize};
-
 /// Input precision of a Tensor-core WMMA operation.
 ///
 /// ```
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(Precision::Tf32.quantize(1.0 + f32::EPSILON), 1.0);
 /// assert_eq!(Precision::Fp32.quantize(1.0 + f32::EPSILON), 1.0 + f32::EPSILON);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Precision {
     /// Full FP32 on CUDA cores (no quantization).
     Fp32,

@@ -5,13 +5,11 @@
 //! (Table XV). Those quantities derive from hardware counters; here they
 //! derive from the same counters collected by construction.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cost::BlockCost;
 use crate::device::DeviceSpec;
 
 /// Aggregated counters of one simulated kernel (or kernel sequence).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct KernelProfile {
     /// Warp-wide FP32 FMA issues on CUDA cores.
     pub cuda_fma_issues: u64,

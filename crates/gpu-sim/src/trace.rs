@@ -171,60 +171,6 @@ impl BlockTrace {
             w.ops.push(op);
         }
     }
-
-    /// Append `other`'s program after this block's, as a sequential phase:
-    /// the warp count grows to the larger of the two, a separating barrier
-    /// is inserted, `other`'s shared offsets are rebased past this block's
-    /// allocation, and warps absent from either side receive matching
-    /// barrier counts so the combined block stays barrier-balanced. Both
-    /// traces are expected to be barrier-uniform across their own warps
-    /// (every builder in this workspace is).
-    pub fn append_sequential(&mut self, other: &BlockTrace) {
-        let base = self.shared_alloc_words;
-        let self_bars = self
-            .warps
-            .iter()
-            .map(|w| w.barrier_count())
-            .max()
-            .unwrap_or(0);
-        let n = self.warps.len().max(other.warps.len());
-        while self.warps.len() < n {
-            self.warps.push(WarpTrace {
-                ops: vec![WarpOp::Barrier; self_bars],
-            });
-        }
-        self.push_all(WarpOp::Barrier);
-        let other_bars = other
-            .warps
-            .iter()
-            .map(|w| w.barrier_count())
-            .max()
-            .unwrap_or(0);
-        for i in 0..n {
-            let target = &mut self.warps[i].ops;
-            match other.warps.get(i) {
-                Some(src) => {
-                    for op in &src.ops {
-                        target.push(match *op {
-                            WarpOp::Shared {
-                                conflicts,
-                                access: Some(a),
-                            } => WarpOp::Shared {
-                                conflicts,
-                                access: Some(SharedAccess {
-                                    offset: a.offset + base,
-                                    ..a
-                                }),
-                            },
-                            op => op,
-                        });
-                    }
-                }
-                None => target.extend(std::iter::repeat_n(WarpOp::Barrier, other_bars)),
-            }
-        }
-        self.shared_alloc_words = base + other.shared_alloc_words;
-    }
 }
 
 /// Where a kernel's trace emitter writes its operations.

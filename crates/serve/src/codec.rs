@@ -1,12 +1,47 @@
 //! The little-endian codec shared by the WAL and snapshot formats: the
-//! record checksum, the bounds-checked encoder and decoder, and the
-//! sections both files carry — cumulative front counters, cache
-//! statistics and the per-shard cache eviction state.
+//! file header and its check, the record checksum, the bounds-checked
+//! encoder and decoder, and the sections both files carry — cumulative
+//! front counters, cache statistics and the per-shard cache eviction
+//! state.
 
 use graph_sparse::StructureFingerprint;
 
 use crate::cache::{CacheStats, ResidentEntry, ShardState};
 use crate::front::FrontCounters;
+use crate::wal::RecoveryError;
+
+/// Length of the header both file formats open with: an 8-byte magic,
+/// then the little-endian `u32` format version.
+pub(crate) const HEADER_LEN: usize = 12;
+
+/// Check the header of a file of one format (`magic`, `version`) whose
+/// smallest well-formed image is `min_len` bytes. A shorter file is
+/// [`RecoveryError::BadMagic`] when the bytes it has disagree with
+/// `magic`, and [`RecoveryError::Truncated`] at its length otherwise. A
+/// full-length file is checked for its magic first, then for its
+/// version.
+pub(crate) fn check_header(
+    bytes: &[u8],
+    magic: &[u8; 8],
+    version: u32,
+    min_len: usize,
+) -> Result<(), RecoveryError> {
+    let mut d = Dec::new(bytes);
+    // A file shorter than the magic is checked against the magic's prefix.
+    let seen = d.bytes(magic.len()).unwrap_or(bytes);
+    if !magic.starts_with(seen) {
+        return Err(RecoveryError::BadMagic);
+    }
+    if bytes.len() < min_len.max(HEADER_LEN) {
+        return Err(RecoveryError::Truncated {
+            offset: bytes.len() as u64,
+        });
+    }
+    match d.u32() {
+        Some(found) if found != version => Err(RecoveryError::UnsupportedVersion { found }),
+        _ => Ok(()),
+    }
+}
 
 /// SplitMix64 finalizer — the workspace's standard deterministic mixer.
 fn splitmix(x: u64) -> u64 {
@@ -51,6 +86,16 @@ pub(crate) struct Enc {
 impl Enc {
     pub(crate) fn new() -> Enc {
         Enc::default()
+    }
+
+    /// An encoder whose bytes open with a file header: `magic`, then
+    /// `version`.
+    pub(crate) fn with_header(magic: &[u8; 8], version: u32) -> Enc {
+        let mut e = Enc {
+            buf: magic.to_vec(),
+        };
+        e.u32(version);
+        e
     }
 
     pub(crate) fn u32(&mut self, v: u32) {
@@ -98,7 +143,8 @@ impl<'a> Dec<'a> {
         Dec { bytes, pos: 0 }
     }
 
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+    /// The next `n` bytes, as a slice of the input.
+    pub(crate) fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
         let end = self.pos.checked_add(n)?;
         let s = self.bytes.get(self.pos..end)?;
         self.pos = end;
@@ -106,7 +152,7 @@ impl<'a> Dec<'a> {
     }
 
     pub(crate) fn u32(&mut self) -> Option<u32> {
-        self.take(4).map(|s| {
+        self.bytes(4).map(|s| {
             let mut b = [0u8; 4];
             b.copy_from_slice(s);
             u32::from_le_bytes(b)
@@ -114,7 +160,7 @@ impl<'a> Dec<'a> {
     }
 
     pub(crate) fn u64(&mut self) -> Option<u64> {
-        self.take(8).map(|s| {
+        self.bytes(8).map(|s| {
             let mut b = [0u8; 8];
             b.copy_from_slice(s);
             u64::from_le_bytes(b)
@@ -146,6 +192,11 @@ impl<'a> Dec<'a> {
             out.push(self.fp()?);
         }
         Some(out)
+    }
+
+    /// Bytes read so far.
+    pub(crate) fn position(&self) -> usize {
+        self.pos
     }
 
     pub(crate) fn remaining(&self) -> usize {
@@ -289,6 +340,8 @@ pub(crate) fn decode_shards(d: &mut Dec<'_>) -> Option<Vec<ShardState>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::Snapshot;
+    use crate::wal::{Wal, WAL_MAGIC, WAL_VERSION};
 
     #[test]
     fn checksum_distinguishes_part_boundaries() {
@@ -356,5 +409,80 @@ mod tests {
         let mut e = Enc::new();
         e.u32(u32::MAX);
         assert!(decode_shards(&mut Dec::new(&e.into_bytes())).is_none());
+    }
+
+    /// What a reader made of a file's header.
+    #[derive(Debug, PartialEq)]
+    enum Verdict {
+        Passed,
+        BadMagic,
+        Truncated(u64),
+        Version(u32),
+    }
+
+    fn verdict<T>(r: Result<T, RecoveryError>) -> Verdict {
+        match r {
+            Ok(_) => Verdict::Passed,
+            Err(RecoveryError::BadMagic) => Verdict::BadMagic,
+            Err(RecoveryError::Truncated { offset }) => Verdict::Truncated(offset),
+            Err(RecoveryError::UnsupportedVersion { found }) => Verdict::Version(found),
+            Err(e) => panic!("not a header verdict: {e}"),
+        }
+    }
+
+    /// Pin the header rule for one format, whose well-formed `image` is
+    /// at least the format's `min_len` bytes.
+    fn header_table(name: &str, image: &[u8], min_len: usize, read: fn(&[u8]) -> Verdict) {
+        assert_eq!(read(image), Verdict::Passed, "{name}");
+        for cut in 0..min_len {
+            let short = &image[..cut];
+            assert_eq!(read(short), Verdict::Truncated(cut as u64), "{name} {cut}");
+            // A wrong byte inside the magic prefix is BadMagic; past it, a
+            // short file is truncated whatever its version says.
+            for i in 0..cut {
+                let mut evil = short.to_vec();
+                evil[i] ^= 0x20;
+                let want = if i < 8 {
+                    Verdict::BadMagic
+                } else {
+                    Verdict::Truncated(cut as u64)
+                };
+                assert_eq!(read(&evil), want, "{name} {cut} byte {i}");
+            }
+        }
+        for i in 0..8 {
+            let mut evil = image.to_vec();
+            evil[i] ^= 0x01;
+            assert_eq!(read(&evil), Verdict::BadMagic, "{name} byte {i}");
+            // The magic is checked before the version.
+            evil[8..12].copy_from_slice(&3u32.to_le_bytes());
+            assert_eq!(read(&evil), Verdict::BadMagic, "{name} byte {i}");
+        }
+        for found in [0u32, 1, 3] {
+            let mut evil = image.to_vec();
+            evil[8..12].copy_from_slice(&found.to_le_bytes());
+            assert_eq!(read(&evil), Verdict::Version(found), "{name} v{found}");
+        }
+    }
+
+    /// The header rule both file formats share: a file shorter than the
+    /// format's minimum is `BadMagic` when its magic prefix is wrong and
+    /// `Truncated` at its length otherwise; a full-length file is checked
+    /// for its magic, then for its version.
+    #[test]
+    fn header_rule_table() {
+        let wal = [&WAL_MAGIC[..], &WAL_VERSION.to_le_bytes()].concat();
+        header_table("wal", &wal, 12, |b| verdict(Wal::replay_bytes(b)));
+        let snapshot = Snapshot {
+            epoch: 0,
+            counters: FrontCounters::default(),
+            cache: CacheStats::default(),
+            graphs: vec![],
+            shard_residency: vec![],
+            quarantine: vec![],
+        };
+        header_table("snapshot", &snapshot.to_bytes(), 20, |b| {
+            verdict(Snapshot::from_bytes(b))
+        });
     }
 }

@@ -21,7 +21,7 @@
 //! ## Delivery = durability
 //!
 //! An epoch's responses are handed to the client in
-//! [`EpochSink::epoch_end`] immediately after the marker fsync, with no
+//! `EpochSink::epoch_end` immediately after the marker fsync, with no
 //! crash point between the two. Everything delivered is therefore
 //! covered by a durable marker, and everything covered by a marker was
 //! delivered: recovery resumes at `marker.epoch + 1` and never

@@ -201,9 +201,9 @@ impl SharedPlanCache {
 
     /// Flag the resident plan for `fp` stale (a mutation superseded its
     /// structure). It keeps serving — every subsequent hit is flagged and
-    /// counted in `stale_hits` — until [`swap_patched`]
-    /// (SharedPlanCache::swap_patched) retires it. Returns whether a plan
-    /// was resident to flag.
+    /// counted in `stale_hits` — until
+    /// [`swap_patched`](SharedPlanCache::swap_patched) retires it. Returns
+    /// whether a plan was resident to flag.
     pub fn mark_stale(&self, fp: StructureFingerprint) -> bool {
         self.shard(fp).lock().mark_stale(fp)
     }
@@ -364,13 +364,6 @@ impl SharedPlanCache {
         let (shards, quarantine) = self.collect_recoverable_state();
         let residency = shards.iter().map(ShardState::fingerprints).collect();
         (residency, quarantine)
-    }
-
-    /// The quarantine registry contents, sorted.
-    pub fn quarantine_set(&self) -> Vec<StructureFingerprint> {
-        let mut v: Vec<StructureFingerprint> = self.quarantine.lock().iter().copied().collect();
-        v.sort_by_key(|fp| (fp.lo, fp.hi));
-        v
     }
 
     /// Re-admit a deterministically rebuilt plan with fresh eviction

@@ -28,8 +28,8 @@ use graph_sparse::{Csr, StructureFingerprint};
 
 use crate::cache::{CacheStats, ShardState};
 use crate::codec::{
-    checksum, decode_cache_stats, decode_counters, decode_shards, encode_cache_stats,
-    encode_counters, encode_shards, Dec, Enc,
+    check_header, checksum, decode_cache_stats, decode_counters, decode_shards, encode_cache_stats,
+    encode_counters, encode_shards, Dec, Enc, HEADER_LEN,
 };
 use crate::front::FrontCounters;
 use crate::wal::RecoveryError;
@@ -118,7 +118,7 @@ impl Snapshot {
     /// Serialize to the on-disk image: magic, version, payload, trailing
     /// SplitMix64-folded checksum over everything before it.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut e = Enc::new();
+        let mut e = Enc::with_header(&SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
         e.u64(self.epoch);
         encode_counters(&mut e, &self.counters);
         encode_cache_stats(&mut e, &self.cache);
@@ -129,12 +129,7 @@ impl Snapshot {
         }
         encode_shards(&mut e, &self.shard_residency);
         e.fps(&self.quarantine);
-        let payload = e.into_bytes();
-
-        let mut out = Vec::with_capacity(12 + payload.len() + 8);
-        out.extend_from_slice(&SNAPSHOT_MAGIC);
-        out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        out.extend_from_slice(&payload);
+        let mut out = e.into_bytes();
         let sum = checksum(&[&out]);
         out.extend_from_slice(&sum.to_le_bytes());
         out
@@ -157,32 +152,18 @@ impl Snapshot {
     /// corruption suite). Every defect class maps to one
     /// [`RecoveryError`] variant; hostile bytes never panic.
     pub fn from_bytes(bytes: &[u8]) -> Result<Snapshot, RecoveryError> {
-        if bytes.len() < 20 {
-            if bytes.get(..bytes.len().min(8)) != Some(&SNAPSHOT_MAGIC[..bytes.len().min(8)]) {
-                return Err(RecoveryError::BadMagic);
-            }
-            return Err(RecoveryError::Truncated {
-                offset: bytes.len() as u64,
-            });
-        }
-        if bytes[..8] != SNAPSHOT_MAGIC {
-            return Err(RecoveryError::BadMagic);
-        }
-        let mut vb = [0u8; 4];
-        vb.copy_from_slice(&bytes[8..12]);
-        let version = u32::from_le_bytes(vb);
-        if version != SNAPSHOT_VERSION {
-            return Err(RecoveryError::UnsupportedVersion { found: version });
-        }
-        let body_end = bytes.len() - 8;
-        let mut sb = [0u8; 8];
-        sb.copy_from_slice(&bytes[body_end..]);
-        if checksum(&[&bytes[..body_end]]) != u64::from_le_bytes(sb) {
+        // The smallest image is the header and the 8-byte checksum.
+        check_header(bytes, &SNAPSHOT_MAGIC, SNAPSHOT_VERSION, HEADER_LEN + 8)?;
+        let (image, sum) = bytes.split_at(bytes.len() - 8);
+        if Dec::new(sum).u64() != Some(checksum(&[image])) {
             return Err(RecoveryError::ChecksumMismatch { offset: 0 });
         }
 
-        let malformed = |what: &'static str| RecoveryError::Malformed { offset: 12, what };
-        let mut d = Dec::new(&bytes[12..body_end]);
+        let malformed = |what: &'static str| RecoveryError::Malformed {
+            offset: HEADER_LEN as u64,
+            what,
+        };
+        let mut d = Dec::new(&image[HEADER_LEN..]);
         let epoch = d.u64().ok_or(malformed("epoch"))?;
         let counters = decode_counters(&mut d).ok_or(malformed("counters"))?;
         let cache = decode_cache_stats(&mut d).ok_or(malformed("cache stats"))?;

@@ -56,8 +56,8 @@ use graph_sparse::{CsrError, DeltaCsr, DeltaError, StructureFingerprint};
 
 use crate::cache::{CacheStats, ShardState};
 use crate::codec::{
-    checksum, decode_cache_stats, decode_counters, decode_shards, encode_cache_stats,
-    encode_counters, encode_shards, Dec, Enc,
+    check_header, checksum, decode_cache_stats, decode_counters, decode_shards, encode_cache_stats,
+    encode_counters, encode_shards, Dec, Enc, HEADER_LEN,
 };
 use crate::front::FrontCounters;
 
@@ -68,8 +68,6 @@ pub const WAL_MAGIC: [u8; 8] = *b"HCSPMMWL";
 /// priority); a version-1 file fails with
 /// [`RecoveryError::UnsupportedVersion`].
 pub const WAL_VERSION: u32 = 2;
-/// Size of the file header (magic + version).
-const HEADER_LEN: u64 = 12;
 /// Ceiling on a single record's declared length: a bit-flip in the length
 /// prefix must not turn into a giant allocation.
 const MAX_RECORD_LEN: u32 = 1 << 28;
@@ -432,8 +430,7 @@ impl Wal {
             }
         }
         let mut file = std::fs::File::create(path)?;
-        file.write_all(&WAL_MAGIC)?;
-        file.write_all(&WAL_VERSION.to_le_bytes())?;
+        file.write_all(&Enc::with_header(&WAL_MAGIC, WAL_VERSION).into_bytes())?;
         file.sync_all()?;
         Ok(Wal {
             file,
@@ -452,27 +449,11 @@ impl Wal {
     /// [`Wal::replay`] over an in-memory image (exposed for the
     /// corruption suite).
     pub fn replay_bytes(bytes: &[u8]) -> Result<WalReplay, RecoveryError> {
-        if bytes.len() < HEADER_LEN as usize {
-            if bytes.get(..bytes.len().min(8)) != Some(&WAL_MAGIC[..bytes.len().min(8)]) {
-                return Err(RecoveryError::BadMagic);
-            }
-            return Err(RecoveryError::Truncated {
-                offset: bytes.len() as u64,
-            });
-        }
-        if bytes[..8] != WAL_MAGIC {
-            return Err(RecoveryError::BadMagic);
-        }
-        let mut vb = [0u8; 4];
-        vb.copy_from_slice(&bytes[8..12]);
-        let version = u32::from_le_bytes(vb);
-        if version != WAL_VERSION {
-            return Err(RecoveryError::UnsupportedVersion { found: version });
-        }
+        check_header(bytes, &WAL_MAGIC, WAL_VERSION, HEADER_LEN)?;
 
         let mut records = Vec::new();
         let mut last_marker = None;
-        let mut pos = HEADER_LEN as usize;
+        let mut pos = HEADER_LEN;
         let mut tail_defect = None;
         while pos < bytes.len() {
             let offset = pos as u64;
@@ -505,28 +486,23 @@ impl Wal {
         })
     }
 
+    /// Decode the record framed at `pos`, returning it with the offset
+    /// just past its checksum.
     fn scan_one(bytes: &[u8], pos: usize) -> Result<(WalRecord, usize), ScanDefect> {
-        let len_bytes = bytes.get(pos..pos + 4).ok_or(ScanDefect::Truncated)?;
-        let mut lb = [0u8; 4];
-        lb.copy_from_slice(len_bytes);
-        let len = u32::from_le_bytes(lb);
+        let mut d = Dec::new(bytes.get(pos..).unwrap_or_default());
+        let len = d.u32().ok_or(ScanDefect::Truncated)?;
         if len == 0 || len > MAX_RECORD_LEN {
             return Err(ScanDefect::Checksum);
         }
-        let body_end = pos + 4 + len as usize;
-        let body = bytes.get(pos + 4..body_end).ok_or(ScanDefect::Truncated)?;
-        let sum_bytes = bytes
-            .get(body_end..body_end + 8)
-            .ok_or(ScanDefect::Truncated)?;
-        let mut sb = [0u8; 8];
-        sb.copy_from_slice(sum_bytes);
-        if checksum(&[len_bytes, body]) != u64::from_le_bytes(sb) {
+        let body = d.bytes(len as usize).ok_or(ScanDefect::Truncated)?;
+        let sum = d.u64().ok_or(ScanDefect::Truncated)?;
+        if checksum(&[&len.to_le_bytes(), body]) != sum {
             return Err(ScanDefect::Checksum);
         }
         let kind = body[0];
         let rec =
             decode_record_payload(kind, &body[1..], pos as u64).map_err(ScanDefect::Decode)?;
-        Ok((rec, body_end + 8))
+        Ok((rec, pos + d.position()))
     }
 
     /// Re-open an existing WAL for appending: replay it, physically

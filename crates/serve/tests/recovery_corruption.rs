@@ -58,33 +58,43 @@ fn free_cell_delta(a: &graph_sparse::Csr) -> DeltaCsr {
     DeltaCsr::new(a.nrows, a.ncols, vec![(r, c, 1.0)], vec![]).expect("valid")
 }
 
-/// A healthy WAL with `n` delta records and a marker every third
-/// record, returned as raw bytes.
-fn healthy_wal(n: usize) -> Vec<u8> {
-    let path = scratch(&format!("mk{n}"));
-    let mut wal = Wal::create(&path).expect("create");
+/// The records of a healthy WAL: `n` delta records and a marker after
+/// every third one.
+fn healthy_records(n: usize) -> Vec<WalRecord> {
+    let mut records = Vec::new();
     for i in 0..n {
         let g = gen::erdos_renyi(48, 180, 40 + i as u64);
         let base_fp = StructureFingerprint::of(&g);
         let delta = free_cell_delta(&g);
         let new_fp = StructureFingerprint::of(&delta.apply(&g).expect("applies"));
-        wal.append_delta(&DeltaRecord {
+        records.push(WalRecord::Delta(DeltaRecord {
             epoch: i as u64,
             trace_index: i as u64,
             base_fp,
             new_fp,
             delta,
-        })
-        .expect("append");
+        }));
         if i % 3 == 2 {
-            wal.append_marker(&EpochMarker {
+            records.push(WalRecord::Marker(EpochMarker {
                 epoch: i as u64,
                 counters: FrontCounters::default(),
                 cache: CacheStats::default(),
                 shard_residency: vec![shard(&[base_fp]), shard(&[]), shard(&[new_fp]), shard(&[])],
                 quarantine: vec![],
-            })
-            .expect("marker");
+            }));
+        }
+    }
+    records
+}
+
+/// `records` appended to a fresh WAL, returned as the file's raw bytes.
+fn wal_bytes(records: &[WalRecord]) -> Vec<u8> {
+    let path = scratch(&format!("mk{}", records.len()));
+    let mut wal = Wal::create(&path).expect("create");
+    for rec in records {
+        match rec {
+            WalRecord::Delta(d) => wal.append_delta(d).expect("append"),
+            WalRecord::Marker(m) => wal.append_marker(m).expect("marker"),
         }
     }
     drop(wal);
@@ -93,8 +103,14 @@ fn healthy_wal(n: usize) -> Vec<u8> {
     bytes
 }
 
-/// A healthy snapshot as raw bytes.
-fn healthy_snapshot() -> Vec<u8> {
+/// A healthy WAL with `n` delta records and a marker every third
+/// record, returned as raw bytes.
+fn healthy_wal(n: usize) -> Vec<u8> {
+    wal_bytes(&healthy_records(n))
+}
+
+/// The state of a healthy snapshot.
+fn healthy_snapshot_state() -> Snapshot {
     let g = gen::erdos_renyi(64, 256, 7);
     let fp = StructureFingerprint::of(&g);
     Snapshot {
@@ -105,7 +121,11 @@ fn healthy_snapshot() -> Vec<u8> {
         shard_residency: vec![shard(&[fp]), shard(&[])],
         quarantine: vec![],
     }
-    .to_bytes()
+}
+
+/// A healthy snapshot as raw bytes.
+fn healthy_snapshot() -> Vec<u8> {
+    healthy_snapshot_state().to_bytes()
 }
 
 proptest! {
@@ -304,4 +324,23 @@ fn version_1_files_fail_typed() {
         recovered.err(),
         Some(RecoveryError::UnsupportedVersion { found: 1 })
     ));
+}
+
+#[test]
+fn version_2_files_decode_unchanged() {
+    // Written at format version 2 by `healthy_wal(6)` and
+    // `healthy_snapshot()`, before the WAL and the snapshot shared one
+    // header writer and check. Each must decode to the state that wrote
+    // it and encode back to the same bytes.
+    let wal = include_bytes!("fixtures/v2.wal");
+    let snap = include_bytes!("fixtures/v2.snap");
+    let replay = Wal::replay_bytes(wal).expect("the v2 log replays");
+    assert!(replay.tail_defect.is_none());
+    assert_eq!(replay.intact_len, wal.len() as u64);
+    assert_eq!(replay.records, healthy_records(6));
+    assert_eq!(wal_bytes(&replay.records), wal);
+
+    let state = Snapshot::from_bytes(snap).expect("the v2 snapshot loads");
+    assert_eq!(state, healthy_snapshot_state());
+    assert_eq!(state.to_bytes(), snap);
 }

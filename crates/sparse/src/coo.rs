@@ -2,12 +2,10 @@
 //!
 //! Graph generators and file loaders produce COO; kernels consume CSR.
 
-use serde::{Deserialize, Serialize};
-
 use crate::csr::Csr;
 
 /// A sparse matrix as (row, col, value) triples.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Coo {
     /// Number of rows.
     pub nrows: usize,

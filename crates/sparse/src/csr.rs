@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::coo::Coo;
 use crate::dense::DenseMatrix;
 
@@ -68,7 +66,7 @@ impl fmt::Display for CsrError {
 impl std::error::Error for CsrError {}
 
 /// CSR sparse matrix with f32 values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Csr {
     /// Number of rows.
     pub nrows: usize,

@@ -12,7 +12,6 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use hc_parallel::sync::Mutex;
-use serde::{Deserialize, Serialize};
 
 use crate::csr::Csr;
 use crate::gen;
@@ -21,7 +20,7 @@ use crate::gen;
 pub const DEFAULT_SCALE: usize = 64;
 
 /// The 14 evaluation datasets of Table II.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum DatasetId {
     CS, // Citeseer
@@ -41,7 +40,7 @@ pub enum DatasetId {
 }
 
 /// Structural class driving the generator choice (see module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Structure {
     /// Citation-style power-law graph with reasonable locality.
     Citation,
@@ -64,7 +63,7 @@ pub enum Structure {
 }
 
 /// Static description of one dataset (real-world counts from Table II).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DatasetSpec {
     /// Which dataset.
     pub id: DatasetId,

@@ -17,8 +17,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::csr::Csr;
 
 /// Defects a [`DeltaCsr`] batch can carry, split between construction-time
@@ -149,7 +147,7 @@ impl std::error::Error for DeltaError {}
 /// assert_eq!(b.row_cols(2), &[0, 3]);
 /// assert_eq!(d.first_dirty_row(), Some(0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeltaCsr {
     nrows: usize,
     ncols: usize,

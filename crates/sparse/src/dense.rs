@@ -2,10 +2,8 @@
 
 use std::ops::{Index, IndexMut};
 
-use serde::{Deserialize, Serialize};
-
 /// Dense row-major f32 matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DenseMatrix {
     /// Number of rows.
     pub rows: usize,
@@ -210,15 +208,6 @@ impl DenseMatrix {
             .zip(&other.data)
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f32::max)
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius(&self) -> f64 {
-        self.data
-            .iter()
-            .map(|&v| (v as f64) * (v as f64))
-            .sum::<f64>()
-            .sqrt()
     }
 
     /// Storage footprint in bytes.

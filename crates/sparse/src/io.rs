@@ -1,13 +1,12 @@
-//! Edge-list and binary CSR IO.
+//! Edge-list IO.
 //!
 //! The paper's datasets ship as SNAP-style edge lists; this module reads and
-//! writes that format plus a compact binary CSR cache so generated analogues
-//! can be reused across harness runs.
+//! writes that format. The workspace persists no other graph file: the
+//! dataset registry generates its analogues in memory, and the serving
+//! layer's snapshots carry their graphs in their own codec.
 
-use std::io::{self, BufRead, BufWriter, Read, Write};
+use std::io::{self, BufRead, BufWriter, Write};
 use std::path::Path;
-
-use bytes::{Buf, BufMut, BytesMut};
 
 use crate::coo::Coo;
 use crate::csr::Csr;
@@ -84,90 +83,6 @@ pub fn write_edge_list(csr: &Csr, writer: impl Write) -> io::Result<()> {
     w.flush()
 }
 
-const MAGIC: u32 = 0x4853_4d43; // "HSMC"
-
-/// Serialize a CSR matrix to a compact binary blob.
-pub fn csr_to_bytes(csr: &Csr) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(24 + csr.byte_size() as usize);
-    buf.put_u32_le(MAGIC);
-    buf.put_u64_le(csr.nrows as u64);
-    buf.put_u64_le(csr.ncols as u64);
-    buf.put_u64_le(csr.nnz() as u64);
-    for &p in &csr.row_ptr {
-        buf.put_u32_le(p);
-    }
-    for &c in &csr.col_idx {
-        buf.put_u32_le(c);
-    }
-    for &v in &csr.vals {
-        buf.put_f32_le(v);
-    }
-    buf.to_vec()
-}
-
-/// Deserialize a CSR matrix written by [`csr_to_bytes`].
-pub fn csr_from_bytes(mut data: &[u8]) -> io::Result<Csr> {
-    let bad = |m: &str| io::Error::new(io::ErrorKind::InvalidData, m.to_string());
-    if data.remaining() < 28 {
-        return Err(bad("truncated header"));
-    }
-    if data.get_u32_le() != MAGIC {
-        return Err(bad("bad magic"));
-    }
-    let nrows = data.get_u64_le() as usize;
-    let ncols = data.get_u64_le() as usize;
-    let nnz = data.get_u64_le() as usize;
-    // Header fields are untrusted: size arithmetic must not overflow, and a
-    // body that cannot possibly be present must fail cleanly rather than
-    // abort on allocation.
-    let need = nrows
-        .checked_add(1)
-        .and_then(|r| r.checked_mul(4))
-        .and_then(|r| nnz.checked_mul(8).and_then(|e| r.checked_add(e)))
-        .ok_or_else(|| bad("header sizes overflow"))?;
-    if data.remaining() < need {
-        return Err(bad("truncated body"));
-    }
-    let mut row_ptr = Vec::with_capacity(nrows + 1);
-    for _ in 0..=nrows {
-        row_ptr.push(data.get_u32_le());
-    }
-    let mut col_idx = Vec::with_capacity(nnz);
-    for _ in 0..nnz {
-        col_idx.push(data.get_u32_le());
-    }
-    let mut vals = Vec::with_capacity(nnz);
-    for _ in 0..nnz {
-        vals.push(data.get_f32_le());
-    }
-    if row_ptr.last().copied() != Some(nnz as u32) {
-        return Err(bad("inconsistent row_ptr"));
-    }
-    let csr = Csr {
-        nrows,
-        ncols,
-        row_ptr,
-        col_idx,
-        vals,
-    };
-    csr.validate()
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    Ok(csr)
-}
-
-/// Write a binary CSR cache file.
-pub fn write_csr_file(csr: &Csr, path: impl AsRef<Path>) -> io::Result<()> {
-    std::fs::write(path, csr_to_bytes(csr))
-}
-
-/// Read a binary CSR cache file.
-pub fn read_csr_file(path: impl AsRef<Path>) -> io::Result<Csr> {
-    let mut f = std::fs::File::open(path)?;
-    let mut buf = Vec::new();
-    f.read_to_end(&mut buf)?;
-    csr_from_bytes(&buf)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,45 +112,5 @@ mod tests {
         assert!(read_edge_list(io::BufReader::new(text.as_bytes())).is_err());
         let text = "0\n";
         assert!(read_edge_list(io::BufReader::new(text.as_bytes())).is_err());
-    }
-
-    #[test]
-    fn binary_roundtrip_exact() {
-        let g = gen::barabasi_albert(100, 3, 5);
-        let bytes = csr_to_bytes(&g);
-        let back = csr_from_bytes(&bytes).unwrap();
-        assert_eq!(back, g);
-    }
-
-    #[test]
-    fn binary_rejects_corruption() {
-        let g = gen::erdos_renyi(20, 30, 1);
-        let mut bytes = csr_to_bytes(&g);
-        bytes[0] ^= 0xff; // break magic
-        assert!(csr_from_bytes(&bytes).is_err());
-        let bytes = csr_to_bytes(&g);
-        assert!(csr_from_bytes(&bytes[..10]).is_err());
-        assert!(csr_from_bytes(&bytes[..bytes.len() - 4]).is_err());
-    }
-
-    #[test]
-    fn binary_rejects_structurally_corrupt_payloads() {
-        // Valid framing, broken invariants: a column index out of range.
-        let g = gen::erdos_renyi(20, 30, 1);
-        let mut bytes = csr_to_bytes(&g);
-        // col_idx starts after 28-byte header + row_ptr array.
-        let col_off = 28 + (g.nrows + 1) * 4;
-        bytes[col_off..col_off + 4].copy_from_slice(&10_000u32.to_le_bytes());
-        assert!(csr_from_bytes(&bytes).is_err());
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let g = gen::community(64, 100, 4, 0.9, 2);
-        let dir = std::env::temp_dir().join("hc_spmm_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("g.csrbin");
-        write_csr_file(&g, &path).unwrap();
-        assert_eq!(read_csr_file(&path).unwrap(), g);
     }
 }

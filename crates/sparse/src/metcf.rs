@@ -8,8 +8,6 @@
 //! condensed indices, this is what makes the format "memory-efficient" —
 //! [`MeTcf::byte_size`] quantifies it.
 
-use serde::{Deserialize, Serialize};
-
 use crate::csr::Csr;
 use crate::dense::DenseMatrix;
 use crate::window::RowWindowPartition;
@@ -18,7 +16,7 @@ use crate::window::RowWindowPartition;
 pub const TILE_K: usize = 8;
 
 /// One 16×8 tile's metadata.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TileDesc {
     /// Range of this tile's entries in the packed arrays.
     pub entry_start: u32,
@@ -31,7 +29,7 @@ pub struct TileDesc {
 }
 
 /// One row window in ME-TCF.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MeTcfWindow {
     /// First matrix row covered.
     pub start_row: u32,
@@ -44,7 +42,7 @@ pub struct MeTcfWindow {
 }
 
 /// The full ME-TCF matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MeTcf {
     /// Number of matrix rows.
     pub nrows: usize,

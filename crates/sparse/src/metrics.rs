@@ -5,13 +5,11 @@
 //! and back the claims in `DESIGN.md` that each synthetic analogue carries
 //! the structure its real counterpart is credited with.
 
-use serde::{Deserialize, Serialize};
-
 use crate::csr::Csr;
 use crate::window::RowWindowPartition;
 
 /// Degree-distribution summary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DegreeStats {
     /// Arithmetic mean degree.
     pub mean: f64,
@@ -111,7 +109,7 @@ pub fn far_gather_fraction(a: &Csr, gap: u32) -> f64 {
 }
 
 /// Row-window shape summary (the Fig. 8 axes, aggregated).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WindowStats {
     /// Non-empty windows.
     pub windows: usize,

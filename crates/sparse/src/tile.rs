@@ -28,8 +28,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Columns per WMMA tile (the k-dimension of the 16×8 tile).
 pub const TILE_COLS: usize = 8;
 
@@ -39,7 +37,7 @@ pub const GROUP_ROWS: usize = 16;
 /// Compressed metadata of one condensed row window: occupancy bitmaps plus
 /// a delta-compressed unique-column stream. This is the canonical stored
 /// form — kernels and cost models consume it directly.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TileMeta {
     /// Rows the window covers.
     rows: u32,

@@ -22,8 +22,6 @@
 //! The scratch is sized by the largest window's entries, never by the
 //! matrix's column count, and is dropped when the build returns.
 
-use serde::{Deserialize, Serialize};
-
 use crate::csr::Csr;
 use crate::tile::TileMeta;
 
@@ -36,7 +34,7 @@ pub const WINDOW_ROWS: usize = 16;
 /// canonical representation kernels and cost models consume directly; the
 /// old dense `unique_cols`/`cond_idx` vectors are recoverable views, not
 /// stored state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RowWindow {
     /// First row of the window in the parent matrix.
     pub start_row: usize,
@@ -208,7 +206,7 @@ impl Condenser {
 }
 
 /// A full partition of a CSR matrix into condensed row windows.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RowWindowPartition {
     /// The windows, in row order.
     pub windows: Vec<RowWindow>,

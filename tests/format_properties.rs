@@ -57,22 +57,6 @@ proptest! {
     }
 
     #[test]
-    fn binary_io_roundtrips_exactly((r, c, es) in arb_entries()) {
-        let a = Coo::from_triples(r, c, es).to_csr();
-        let bytes = io::csr_to_bytes(&a);
-        prop_assert_eq!(io::csr_from_bytes(&bytes).unwrap(), a);
-    }
-
-    #[test]
-    fn truncated_binary_never_panics((r, c, es) in arb_entries(), cut in 0usize..64) {
-        let a = Coo::from_triples(r, c, es).to_csr();
-        let bytes = io::csr_to_bytes(&a);
-        let take = bytes.len().saturating_sub(cut + 1);
-        // Any truncation must fail cleanly, never panic.
-        let _ = io::csr_from_bytes(&bytes[..take]);
-    }
-
-    #[test]
     fn symmetric_permutation_is_an_isomorphism(n in 2usize..60, edges in 0usize..200, seed in 0u64..50) {
         let a = if edges == 0 {
             Csr::empty(n, n)
