@@ -1390,9 +1390,13 @@ pub fn recovery(_cache: &mut DatasetCache, dev: &DeviceSpec) -> (String, Recover
             snapshot_every: 2,
         }
     };
+    // A crash mid-snapshot leaves `<snapshot>.tmp` beside the snapshot.
     let cleanup = |cfg: &DurabilityConfig| {
+        let mut tmp = cfg.snapshot_path.clone().into_os_string();
+        tmp.push(".tmp");
         let _ = std::fs::remove_file(&cfg.wal_path);
         let _ = std::fs::remove_file(&cfg.snapshot_path);
+        let _ = std::fs::remove_file(tmp);
     };
 
     let control = mk_front().run_events(&events, dev);
@@ -1831,6 +1835,14 @@ mod tests {
         let mut cache = DatasetCache::with_scale(512);
         let dev = DeviceSpec::rtx3090();
         let (text, m) = recovery(&mut cache, &dev);
+        // Every WAL, snapshot and torn snapshot temp file is cleaned up.
+        let prefix = format!("hc-bench-rec-{}-", std::process::id());
+        let left: Vec<_> = std::fs::read_dir(std::env::temp_dir())
+            .expect("temp dir is readable")
+            .filter_map(|e| e.ok()?.file_name().into_string().ok())
+            .filter(|name| name.starts_with(&prefix))
+            .collect();
+        assert!(left.is_empty(), "recovery left temp files: {left:?}");
         assert!(
             m.equivalent,
             "recovered report diverged from the uncrashed control:\n{text}"

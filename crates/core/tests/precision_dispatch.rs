@@ -3,8 +3,9 @@
 //! This suite pins that the specialised loops compute exactly the
 //! per-entry arithmetic they replaced: quantize the sparse value, then
 //! `z[j] += a · quantize(x[j])` for each stored entry in CSR order — bit
-//! for bit, at all four precisions, at widths 0 through 29, with X
-//! holding NaN, ±Inf and −0.0.
+//! for bit, at all four precisions, at widths 0 through 74, with X
+//! holding NaN, ±Inf and −0.0. Widths of 32 and up run the loop's AVX2
+//! twin on a CPU that has AVX2.
 //!
 //! Non-finite values are laid out so every output element meets at most
 //! one NaN source: a "NaN column" of X holds one NaN, an "Inf column"
@@ -17,7 +18,7 @@ use gpu_sim::{DeviceSpec, Precision};
 use graph_sparse::{gen, Csr, DenseMatrix};
 use hc_core::{CoreChoice, HcSpmm};
 
-const WIDTHS: [usize; 5] = [0, 1, 8, 16, 29];
+const WIDTHS: [usize; 8] = [0, 1, 8, 16, 29, 32, 33, 74];
 
 /// The per-entry reference: `prec(row)` is the precision of the row's
 /// window (hybrid) or of the whole kernel (tensor, CUDA).

@@ -81,8 +81,15 @@ impl DenseMatrix {
     /// other[k][c]` for k ascending, a separate f32 multiply and add, with
     /// a zero multiplier adding nothing — the serial triple loop's bits at
     /// any thread count. The work runs as 4 × 8 register tiles over
-    /// packed panels; the pool gets blocks of output rows.
+    /// packed panels; the pool gets blocks of output rows, which run at
+    /// AVX2 width on a CPU that has AVX2, with the same bits.
     pub fn matmul(&self, other: &DenseMatrix) -> DenseMatrix {
+        self.matmul_with(other, true)
+    }
+
+    /// [`DenseMatrix::matmul`], through the AVX2 twin only when `twin`
+    /// asks for it and the CPU has AVX2.
+    fn matmul_with(&self, other: &DenseMatrix, twin: bool) -> DenseMatrix {
         assert_eq!(self.cols, other.rows, "matmul dimension mismatch");
         let (kd, n) = (self.cols, other.cols);
         let mut out = DenseMatrix::zeros(self.rows, n);
@@ -96,17 +103,15 @@ impl DenseMatrix {
         }
         let panels: Vec<&[[f32; NR]]> = b.chunks_exact(kd).collect();
         let work = 2 * self.rows as u64 * kd as u64 * n as u64;
+        let avx2 = twin && avx2();
         hc_parallel::par_chunks_mut(&mut out.data, BLOCK_ROWS * n, work, |blk, rows| {
-            let mut a = Vec::with_capacity(kd);
-            let nrows = rows.len() / n;
-            for t0 in (0..nrows).step_by(MR) {
-                let mr = MR.min(nrows - t0);
-                pack_rows(self, blk * BLOCK_ROWS + t0, mr, &mut a);
-                let tile_rows = &mut rows[t0 * n..(t0 + mr) * n];
-                for (p, panel) in panels.iter().enumerate() {
-                    let acc = tile(skip_zero, [[0.0; NR]; MR], &a, panel);
-                    store(&acc, tile_rows, n, p * NR);
-                }
+            let r0 = blk * BLOCK_ROWS;
+            if avx2 {
+                // SAFETY: `avx2` holds only when `avx2()` found AVX2 on
+                // this CPU.
+                unsafe { matmul_block_avx2(self, &panels, n, skip_zero, r0, rows) }
+            } else {
+                matmul_block(self, &panels, n, skip_zero, r0, rows)
             }
         });
         out
@@ -118,10 +123,15 @@ impl DenseMatrix {
     /// Bit-identical to `self.transposed().matmul(other)`: each output
     /// element adds `self[k][r] · other[k][c]` for k ascending from
     /// `+0.0`, a zero multiplier adding nothing. The pool gets blocks of
-    /// output rows; each block walks the rows of `self` and `other` in
-    /// ascending, cache-sized panels and carries its register tiles from
-    /// one panel to the next through the output.
+    /// output rows, which run at AVX2 width on a CPU that has AVX2, with
+    /// the same bits.
     pub fn t_matmul(&self, other: &DenseMatrix) -> DenseMatrix {
+        self.t_matmul_with(other, true)
+    }
+
+    /// [`DenseMatrix::t_matmul`], through the AVX2 twin only when `twin`
+    /// asks for it and the CPU has AVX2.
+    fn t_matmul_with(&self, other: &DenseMatrix, twin: bool) -> DenseMatrix {
         assert_eq!(self.rows, other.rows, "t_matmul dimension mismatch");
         let (kd, n) = (self.rows, other.cols);
         let mut out = DenseMatrix::zeros(self.cols, n);
@@ -130,26 +140,15 @@ impl DenseMatrix {
         }
         let skip_zero = !other.data.iter().all(|v| v.is_finite());
         let work = 2 * self.cols as u64 * kd as u64 * n as u64;
+        let avx2 = twin && avx2();
         hc_parallel::par_chunks_mut(&mut out.data, BLOCK_ROWS_T * n, work, |blk, rows| {
-            let mut a = Vec::with_capacity(PANEL);
-            let mut b = Vec::with_capacity(n.div_ceil(NR) * PANEL);
-            let nrows = rows.len() / n;
-            for k0 in (0..kd).step_by(PANEL) {
-                let ks = k0..(k0 + PANEL).min(kd);
-                b.clear();
-                for c0 in (0..n).step_by(NR) {
-                    pack_cols(other, ks.clone(), c0, &mut b);
-                }
-                for t0 in (0..nrows).step_by(MR) {
-                    let mr = MR.min(nrows - t0);
-                    a.clear();
-                    pack_cols(self, ks.clone(), blk * BLOCK_ROWS_T + t0, &mut a);
-                    let tile_rows = &mut rows[t0 * n..(t0 + mr) * n];
-                    for (p, panel) in b.chunks_exact(ks.len()).enumerate() {
-                        let acc = tile(skip_zero, load(tile_rows, n, p * NR), &a, panel);
-                        store(&acc, tile_rows, n, p * NR);
-                    }
-                }
+            let r0 = blk * BLOCK_ROWS_T;
+            if avx2 {
+                // SAFETY: `avx2` holds only when `avx2()` found AVX2 on
+                // this CPU.
+                unsafe { t_matmul_block_avx2(self, other, skip_zero, r0, rows) }
+            } else {
+                t_matmul_block(self, other, skip_zero, r0, rows)
             }
         });
         out
@@ -231,6 +230,110 @@ impl IndexMut<(usize, usize)> for DenseMatrix {
     }
 }
 
+/// Whether the running CPU has AVX2, which the `_avx2` twins need. The
+/// standard library caches the answer after the first call.
+fn avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return std::is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
+/// One pool block of [`DenseMatrix::matmul`]: output rows `r0 ..` of
+/// `lhs · other` into `rows`, `n` wide, with `other` packed as `panels`
+/// of `NR` columns.
+#[inline(always)]
+fn matmul_block(
+    lhs: &DenseMatrix,
+    panels: &[&[[f32; NR]]],
+    n: usize,
+    skip_zero: bool,
+    r0: usize,
+    rows: &mut [f32],
+) {
+    let mut a = Vec::with_capacity(lhs.cols);
+    let nrows = rows.len() / n;
+    for t0 in (0..nrows).step_by(MR) {
+        let mr = MR.min(nrows - t0);
+        pack_rows(lhs, r0 + t0, mr, &mut a);
+        let tile_rows = &mut rows[t0 * n..(t0 + mr) * n];
+        for (p, panel) in panels.iter().enumerate() {
+            let acc = tile(skip_zero, [[0.0; NR]; MR], &a, panel);
+            store(&acc, tile_rows, n, p * NR);
+        }
+    }
+}
+
+/// [`matmul_block`] compiled for AVX2: the same source, so the same f32
+/// multiplies and adds in the same order, eight lanes at a time.
+///
+/// # Safety
+///
+/// The running CPU must have AVX2.
+#[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2"))]
+unsafe fn matmul_block_avx2(
+    lhs: &DenseMatrix,
+    panels: &[&[[f32; NR]]],
+    n: usize,
+    skip_zero: bool,
+    r0: usize,
+    rows: &mut [f32],
+) {
+    matmul_block(lhs, panels, n, skip_zero, r0, rows)
+}
+
+/// One pool block of [`DenseMatrix::t_matmul`]: output rows `r0 ..` of
+/// `lhsᵀ · other` into `rows`. It walks the rows of `lhs` and `other` in
+/// ascending, cache-sized panels and carries its register tiles from one
+/// panel to the next through the output.
+#[inline(always)]
+fn t_matmul_block(
+    lhs: &DenseMatrix,
+    other: &DenseMatrix,
+    skip_zero: bool,
+    r0: usize,
+    rows: &mut [f32],
+) {
+    let (kd, n) = (lhs.rows, other.cols);
+    let mut a = Vec::with_capacity(PANEL);
+    let mut b = Vec::with_capacity(n.div_ceil(NR) * PANEL);
+    let nrows = rows.len() / n;
+    for k0 in (0..kd).step_by(PANEL) {
+        let ks = k0..(k0 + PANEL).min(kd);
+        b.clear();
+        for c0 in (0..n).step_by(NR) {
+            pack_cols(other, ks.clone(), c0, &mut b);
+        }
+        for t0 in (0..nrows).step_by(MR) {
+            let mr = MR.min(nrows - t0);
+            a.clear();
+            pack_cols(lhs, ks.clone(), r0 + t0, &mut a);
+            let tile_rows = &mut rows[t0 * n..(t0 + mr) * n];
+            for (p, panel) in b.chunks_exact(ks.len()).enumerate() {
+                let acc = tile(skip_zero, load(tile_rows, n, p * NR), &a, panel);
+                store(&acc, tile_rows, n, p * NR);
+            }
+        }
+    }
+}
+
+/// [`t_matmul_block`] compiled for AVX2: the same source, so the same f32
+/// multiplies and adds in the same order, eight lanes at a time.
+///
+/// # Safety
+///
+/// The running CPU must have AVX2.
+#[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2"))]
+unsafe fn t_matmul_block_avx2(
+    lhs: &DenseMatrix,
+    other: &DenseMatrix,
+    skip_zero: bool,
+    r0: usize,
+    rows: &mut [f32],
+) {
+    t_matmul_block(lhs, other, skip_zero, r0, rows)
+}
+
 /// Output rows of one register tile of the dense kernels.
 const MR: usize = 4;
 /// Output columns of one register tile (two 4-lane vectors).
@@ -257,7 +360,7 @@ type Acc = [[f32; NR]; MR];
 /// becomes `−0.0`, since round-to-nearest gives `+0` for `x + (−x)` and
 /// for `+0 + −0`. Both variants give the bits of the scalar loop that
 /// skips zero multipliers.
-#[inline]
+#[inline(always)]
 fn tile(skip_zero: bool, acc: Acc, a: &[[f32; MR]], b: &[[f32; NR]]) -> Acc {
     if skip_zero {
         tile_k::<true>(acc, a, b)
@@ -281,6 +384,7 @@ fn tile_k<const SKIP_ZERO: bool>(mut acc: Acc, a: &[[f32; MR]], b: &[[f32; NR]])
 
 /// Append columns `c0 .. c0 + W` of rows `ks` of `m` to `out` as k-major
 /// tiles, zero-padded past `m.cols`.
+#[inline(always)]
 fn pack_cols<const W: usize>(
     m: &DenseMatrix,
     ks: std::ops::Range<usize>,
@@ -307,6 +411,7 @@ fn pack_cols<const W: usize>(
 
 /// Pack the `mr <= MR` rows from `r0` of `m` into `out` as k-major tiles
 /// (one per column), zero-padded to `MR` lanes.
+#[inline(always)]
 fn pack_rows(m: &DenseMatrix, r0: usize, mr: usize, out: &mut Vec<[f32; MR]>) {
     out.clear();
     out.resize(m.cols, [0.0; MR]);
@@ -319,6 +424,7 @@ fn pack_rows(m: &DenseMatrix, r0: usize, mr: usize, out: &mut Vec<[f32; MR]>) {
 
 /// The tile at column `c0` of `tile_rows`, up to `MR` output rows of
 /// width `n`.
+#[inline(always)]
 fn load(tile_rows: &[f32], n: usize, c0: usize) -> Acc {
     let mut acc = [[0.0; NR]; MR];
     for (a, row) in acc.iter_mut().zip(tile_rows.chunks(n)) {
@@ -334,6 +440,7 @@ fn load(tile_rows: &[f32], n: usize, c0: usize) -> Acc {
 
 /// Write `acc` back at column `c0` of `tile_rows`, up to `MR` output rows
 /// of width `n`.
+#[inline(always)]
 fn store(acc: &Acc, tile_rows: &mut [f32], n: usize, c0: usize) {
     for (a, row) in acc.iter().zip(tile_rows.chunks_mut(n)) {
         let row = &mut row[c0..];
@@ -417,5 +524,105 @@ mod tests {
         assert_eq!(a.add(&a).row(0), &[2.0, -4.0]);
         assert_eq!(a.scale(3.0).row(0), &[3.0, -6.0]);
         assert_eq!(a.map(f32::abs).row(0), &[1.0, 2.0]);
+    }
+
+    /// `dense_differential`'s sizes: every size to 9 and those around 16,
+    /// 32 and 74.
+    const TWIN_SIZES: [usize; 17] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33, 74];
+
+    /// A `rows × cols` matrix of mixed values: `±0`, runs of zeros,
+    /// subnormals, large magnitudes and, with `non_finite`, `±inf` and
+    /// NaN. An xorshift64* stream from `seed`.
+    fn twin_values(rows: usize, cols: usize, seed: u64, non_finite: bool) -> DenseMatrix {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut next = move || {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 32
+        };
+        let mut zeros = 0;
+        DenseMatrix::from_fn(rows, cols, |_, _| {
+            let bits = next() as u32;
+            if zeros > 0 {
+                zeros -= 1;
+                return if bits.is_multiple_of(4) { -0.0 } else { 0.0 };
+            }
+            let sign = if bits & 1 == 0 { 1.0f32 } else { -1.0 };
+            match bits % 30 {
+                0..=5 => {
+                    zeros = bits / 30 % 6;
+                    0.0
+                }
+                6 => -0.0,
+                7 | 8 => sign * f32::from_bits(1 + bits / 30 % 0x7f_ffff),
+                9 => sign * 3.0e38,
+                10 if non_finite => f32::INFINITY,
+                11 if non_finite => f32::NEG_INFINITY,
+                12 if non_finite => f32::from_bits(0x7fc0_0000 | (bits / 30 % 0x3f_ffff)),
+                _ => sign * (bits / 30) as f32 / (1 << 26) as f32,
+            }
+        })
+    }
+
+    /// Equal bits, or NaN on both sides: which of two NaN operands an add
+    /// returns is left open by IEEE 754 and by Rust, so a NaN's payload is
+    /// not part of the kernels' contract.
+    fn assert_same_bits(base: &DenseMatrix, twin: &DenseMatrix, at: &dyn Fn() -> String) {
+        assert_eq!((base.rows, base.cols), (twin.rows, twin.cols), "{}", at());
+        for (i, (b, t)) in base.data.iter().zip(&twin.data).enumerate() {
+            assert!(
+                b.to_bits() == t.to_bits() || (b.is_nan() && t.is_nan()),
+                "element {i}: baseline {b:e} ({:#010x}), AVX2 twin {t:e} ({:#010x}), {}",
+                b.to_bits(),
+                t.to_bits(),
+                at()
+            );
+        }
+    }
+
+    /// Says past the test harness's output capture that no twin ran, so
+    /// a pass on a CPU without AVX2 does not read as a comparison.
+    fn note_baseline_only(test: &str) {
+        use std::io::Write;
+        let _ = writeln!(
+            std::io::stderr(),
+            "{test}: this CPU has no AVX2, so only the baseline body ran"
+        );
+    }
+
+    #[test]
+    fn avx2_twins_match_the_baseline_bits() {
+        // Both tile variants must run: the all-finite one and the one that
+        // skips zero multipliers of a non-finite `other`.
+        let mut finite_cases = [0usize; 2];
+        let mut seed = 0u64;
+        for m in TWIN_SIZES {
+            for kd in TWIN_SIZES {
+                for n in TWIN_SIZES {
+                    for non_finite in [false, true] {
+                        seed += 1;
+                        let a = twin_values(m, kd, seed, non_finite);
+                        let s = twin_values(kd, m, seed ^ 0xaa, non_finite);
+                        let b = twin_values(kd, n, seed ^ 0x55, non_finite);
+                        finite_cases[b.data.iter().all(|v| v.is_finite()) as usize] += 1;
+                        let at = |op: &'static str| {
+                            move || format!("{op} {m}x{kd}x{n}, non-finite {non_finite}")
+                        };
+                        let (base, twin) = (a.matmul_with(&b, false), a.matmul_with(&b, true));
+                        assert_same_bits(&base, &twin, &at("matmul"));
+                        let (base, twin) = (s.t_matmul_with(&b, false), s.t_matmul_with(&b, true));
+                        assert_same_bits(&base, &twin, &at("t_matmul"));
+                    }
+                }
+            }
+        }
+        assert!(
+            finite_cases.iter().all(|&c| c > 100),
+            "non-finite / all-finite `other` cases: {finite_cases:?}"
+        );
+        if !avx2() {
+            note_baseline_only("avx2_twins_match_the_baseline_bits");
+        }
     }
 }
