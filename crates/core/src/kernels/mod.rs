@@ -90,8 +90,8 @@ pub(crate) fn numeric_rows(
 }
 
 /// The narrowest X that [`numeric_rows`] runs at AVX2 width. The AVX2
-/// build's vector loop covers 32 columns per pass (the baseline's SSE2
-/// loop covers 8), so a narrower row runs only its 4-lane remainder loop
+/// build's main vector loops cover 32 columns per pass (the baseline's
+/// SSE2 loops 4 or 8), so a narrower row runs only their remainder loops
 /// and scalar tail. A sweep of five Table II analogues found AVX2 faster
 /// at every d ≥ 32 and mixed below.
 const AVX2_MIN_COLS: usize = 32;
