@@ -31,38 +31,32 @@
 //! internals are explorable by `hc-check`'s model scheduler under
 //! `--cfg hc_check` (and lintable by its `lint-sync` pass).
 //!
-//! ## Calibrated engagement (the serial fast path)
+//! ## Engagement (the serial fast path)
 //!
 //! Whether a region actually spawns workers is decided per call from the
 //! caller's `work` hint (scalar operations, the same unit the simulated
-//! cost model reports) and a one-time host [`calibration`]: the estimated
-//! serial time saved by fanning out over `min(threads, physical cores)`
-//! workers must repay the measured thread-spawn cost several times over,
-//! and `work` must clear the [`MIN_PARALLEL_WORK`] floor. Regions that do
-//! not qualify run inline on the calling thread and are counted as
-//! *serial fallbacks* (see [`pool_stats`]) — on a single-core host every
-//! region falls back, which is exactly the fast path: forced `--threads N`
-//! parallelism there is pure overhead. Because the parallel and serial
-//! executions are bit-identical, the engagement decision is a pure
-//! scheduling choice and never changes results.
+//! cost model reports) and the fixed reference [`calibration`]: the
+//! estimated serial time saved by fanning out over `min(threads, physical
+//! cores)` workers must repay the reference thread-spawn cost several
+//! times over. At 2 threads that takes more than 3.2 M ops. No host timing
+//! enters the rule, so the same call makes the same decision in every
+//! process on a given core count. Regions that do not qualify run inline
+//! on the calling thread and are counted as *serial fallbacks* (see
+//! [`pool_stats`]) — on a single-core host every region falls back, which
+//! is exactly the fast path: forced `--threads N` parallelism there is
+//! pure overhead. Because the parallel and serial executions are
+//! bit-identical, the engagement decision is a pure scheduling choice and
+//! never changes results.
 
-pub mod fsio;
 pub mod sync;
 
 use std::mem::{ManuallyDrop, MaybeUninit};
-use std::sync::OnceLock;
-use std::time::Instant;
 
 use sync::{AtomicU64, AtomicU8, AtomicUsize, Mutex, Ordering};
 
 /// Process-wide thread-count override set by [`set_threads`] (0 = unset).
 /// Untracked: a quiescent configuration cell, not contended state.
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new_untracked(0);
-
-/// Scalar-operation threshold below which parallel regions always run
-/// inline, regardless of calibration: at ~1 ns/op, 32 Ki ops is well under
-/// the cost of standing up even two workers.
-pub const MIN_PARALLEL_WORK: u64 = 1 << 15;
 
 /// How many times the spawn cost must be repaid by the estimated parallel
 /// saving before a region fans out. Spawning is only worth it when the
@@ -106,16 +100,17 @@ pub fn threads() -> usize {
 }
 
 /// How parallel regions decide between fanning out and the serial fast
-/// path. The default [`Auto`](ParallelMode::Auto) applies the calibrated
-/// profitability model; the other two exist for tests and measurements
-/// that must pin one side of the comparison.
+/// path. The default [`Auto`](ParallelMode::Auto) applies the
+/// profitability rule at the reference [`calibration`]; the other two
+/// exist for tests and measurements that must pin one side of the
+/// comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ParallelMode {
-    /// Calibrated decision (the default): fan out only when the estimated
-    /// saving repays the spawn cost on this host.
+    /// The profitability rule (the default): fan out only when the
+    /// estimated saving repays the reference spawn cost several times.
     Auto,
     /// Always fan out when `threads() > 1` and there is more than one
-    /// item, ignoring calibration. For exercising the pool itself.
+    /// item, ignoring the rule. For exercising the pool itself.
     Force,
     /// Never fan out. Equivalent to `threads() == 1` for every region.
     Never,
@@ -143,12 +138,12 @@ pub fn parallel_mode() -> ParallelMode {
     }
 }
 
-/// One-time host measurement that prices the parallel/serial decision.
+/// The prices of the parallel/serial decision (see [`calibration`]).
 #[derive(Debug, Clone, Copy)]
 pub struct Calibration {
-    /// Measured cost of standing up one scoped worker thread, ns.
+    /// Cost of standing up one scoped worker thread, ns.
     pub spawn_ns: f64,
-    /// Measured host nanoseconds per scalar-op work unit.
+    /// Host nanoseconds per scalar-op work unit.
     pub ns_per_unit: f64,
     /// Physical parallelism of the host (`available_parallelism`),
     /// independent of the configured [`threads`] count. Workers beyond
@@ -156,61 +151,18 @@ pub struct Calibration {
     pub cores: usize,
 }
 
-static CALIBRATION: OnceLock<Calibration> = OnceLock::new();
+/// Reference cost of one scoped worker spawn, ns, and reference host ns
+/// per work unit: the release-build figures of the 2-vCPU reference host.
+/// perfbench checks that [`calibration`] returns exactly its own copies.
+const SPAWN_NS: f64 = 40_000.0;
+const NS_PER_UNIT: f64 = 0.2;
 
-fn measure_calibration() -> Calibration {
-    let cores = sync::thread::available_parallelism();
-    // ns per scalar work unit: time a simple dependent arithmetic loop
-    // (the same flavour of work the kernels' hot loops do) and take the
-    // best of a few reps so preemption only inflates discarded samples.
-    const UNITS: u64 = 1 << 16;
-    let mut ns_per_unit = f64::MAX;
-    let mut sink = 0u64;
-    for rep in 0..3u64 {
-        let t = Instant::now();
-        let mut acc = rep;
-        for k in 0..UNITS {
-            acc = acc.wrapping_mul(31).wrapping_add(k);
-        }
-        let dt = t.elapsed().as_nanos() as f64 / UNITS as f64;
-        sink = sink.wrapping_add(acc);
-        ns_per_unit = ns_per_unit.min(dt);
-    }
-    std::hint::black_box(sink);
-    let ns_per_unit = ns_per_unit.clamp(0.05, 100.0);
-    // Spawn cost: time an empty two-worker scoped region, best of a few.
-    let mut spawn_ns = f64::MAX;
-    for _ in 0..3 {
-        let t = Instant::now();
-        let r = sync::thread::scope(|scope| {
-            for _ in 0..2 {
-                scope.spawn(|_| {});
-            }
-        });
-        debug_assert!(r.is_ok());
-        spawn_ns = spawn_ns.min(t.elapsed().as_nanos() as f64 / 2.0);
-    }
-    let spawn_ns = spawn_ns.clamp(1_000.0, 50_000_000.0);
-    Calibration {
-        spawn_ns,
-        ns_per_unit,
-        cores,
-    }
-}
-
-/// The lazily measured host [`Calibration`] (one measurement per process,
-/// a few hundred microseconds on first use).
-///
-/// Measurements persist to `target/<profile>/hc-calibration.json` keyed
-/// by core count (override the location with `HC_CALIBRATION_PATH`,
-/// disable persistence by setting it empty), so repeated bench runs skip
-/// the re-measurement. Each build profile keeps its own file: a debug
-/// build times the per-unit loop tens of times slower than a release
-/// build, and would make a release process fan out regions too small to
-/// repay it. An absent, unparsable or out-of-range entry falls
-/// back to a fresh measurement. Under an active `hc-check` model run a
-/// fixed synthetic calibration is returned instead, keeping the
-/// engagement decision deterministic across explored interleavings.
+/// The [`Calibration`] that prices every engagement decision: 40,000 ns
+/// per worker spawn and 0.2 ns per work unit, the reference host's
+/// figures, with this host's core count. Nothing is timed, so a given
+/// call fans out the same way in every process on a given core count.
+/// Under an active `hc-check` model run a fixed single-core calibration
+/// is returned instead, so no explored interleaving fans out.
 pub fn calibration() -> Calibration {
     #[cfg(hc_check)]
     if sync::model::active_here() {
@@ -220,133 +172,11 @@ pub fn calibration() -> Calibration {
             cores: 1,
         };
     }
-    *CALIBRATION.get_or_init(|| {
-        let cores = sync::thread::available_parallelism();
-        let path = calibration_path();
-        if let Some(p) = &path {
-            if let Some(cal) = load_calibration(p, cores) {
-                return cal;
-            }
-        }
-        let cal = measure_calibration();
-        if let Some(p) = &path {
-            save_calibration(p, cal);
-        }
-        cal
-    })
-}
-
-/// Where calibration entries persist: `HC_CALIBRATION_PATH` when set
-/// (empty string disables persistence), else `hc-calibration.json` in the
-/// build profile's directory of the cargo target directory that holds the
-/// running executable (see [`profile_calibration_path`]). An executable
-/// outside a target directory persists nothing.
-fn calibration_path() -> Option<std::path::PathBuf> {
-    match std::env::var("HC_CALIBRATION_PATH") {
-        Ok(v) if v.is_empty() => None,
-        Ok(v) => Some(std::path::PathBuf::from(v)),
-        Err(_) => std::env::current_exe()
-            .ok()
-            .and_then(|exe| profile_calibration_path(&exe)),
+    Calibration {
+        spawn_ns: SPAWN_NS,
+        ns_per_unit: NS_PER_UNIT,
+        cores: sync::thread::available_parallelism(),
     }
-}
-
-/// `target/<profile>/hc-calibration.json` for an executable anywhere under
-/// `target/<profile>/` (binaries, `deps/` test binaries, `examples/`), or
-/// `None` when no ancestor of `exe` sits directly in a `target` directory.
-fn profile_calibration_path(exe: &std::path::Path) -> Option<std::path::PathBuf> {
-    exe.ancestors()
-        .skip(1)
-        .find(|a| {
-            a.parent()
-                .and_then(std::path::Path::file_name)
-                .is_some_and(|n| n == "target")
-        })
-        .map(|profile| profile.join("hc-calibration.json"))
-}
-
-/// Every numeric value following `"key":` occurrences in `text`, in order.
-fn nums_after(text: &str, key: &str) -> Vec<f64> {
-    let pat = format!("\"{key}\"");
-    let mut out = Vec::new();
-    let mut pos = 0;
-    while let Some(idx) = text[pos..].find(&pat) {
-        let after_key = pos + idx + pat.len();
-        let Some(colon) = text[after_key..].find(':') else {
-            break;
-        };
-        let num_start = after_key + colon + 1;
-        let rest = text[num_start..].trim_start();
-        let trimmed = text[num_start..].len() - rest.len();
-        let end = rest
-            .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-            .unwrap_or(rest.len());
-        if let Ok(v) = rest[..end].parse::<f64>() {
-            out.push(v);
-        }
-        pos = num_start + trimmed + end;
-    }
-    out
-}
-
-/// Parse every valid calibration entry out of a persisted file. Entries
-/// with out-of-range values (a stale or corrupt file) are dropped.
-fn parse_calibration_entries(text: &str) -> Vec<Calibration> {
-    if nums_after(text, "version").first().copied() != Some(1.0) {
-        return Vec::new();
-    }
-    let cores = nums_after(text, "cores");
-    let spawn = nums_after(text, "spawn_ns");
-    let unit = nums_after(text, "ns_per_unit");
-    cores
-        .iter()
-        .zip(spawn.iter())
-        .zip(unit.iter())
-        .filter_map(|((&c, &s), &u)| {
-            let cores_ok = (1.0..=1_000_000.0).contains(&c) && c.fract() == 0.0;
-            let spawn_ok = (1_000.0..=50_000_000.0).contains(&s);
-            let unit_ok = (0.05..=100.0).contains(&u);
-            (cores_ok && spawn_ok && unit_ok).then_some(Calibration {
-                spawn_ns: s,
-                ns_per_unit: u,
-                cores: c as usize,
-            })
-        })
-        .collect()
-}
-
-fn render_calibration_entries(entries: &[Calibration]) -> String {
-    let body: Vec<String> = entries
-        .iter()
-        .map(|c| {
-            format!(
-                "{{\"cores\":{},\"spawn_ns\":{:.1},\"ns_per_unit\":{:.4}}}",
-                c.cores, c.spawn_ns, c.ns_per_unit
-            )
-        })
-        .collect();
-    format!("{{\"version\":1,\"entries\":[{}]}}\n", body.join(","))
-}
-
-/// Load the persisted calibration for `cores`, if present and valid.
-fn load_calibration(path: &std::path::Path, cores: usize) -> Option<Calibration> {
-    let text = std::fs::read_to_string(path).ok()?;
-    parse_calibration_entries(&text)
-        .into_iter()
-        .find(|c| c.cores == cores)
-}
-
-/// Merge `cal` into the persisted file (best-effort: IO errors simply
-/// mean the next run re-measures).
-fn save_calibration(path: &std::path::Path, cal: Calibration) {
-    let mut entries: Vec<Calibration> = std::fs::read_to_string(path)
-        .ok()
-        .map(|t| parse_calibration_entries(&t))
-        .unwrap_or_default();
-    entries.retain(|c| c.cores != cal.cores);
-    entries.push(cal);
-    entries.sort_by_key(|c| c.cores);
-    let _ = fsio::atomic_write(path, render_calibration_entries(&entries).as_bytes());
 }
 
 /// Regions that fanned out over worker threads since the last
@@ -386,7 +216,7 @@ pub fn should_parallelize(work: u64) -> bool {
 }
 
 /// The engagement decision: pure function of the work hint, the
-/// configured thread count, the host calibration and the mode override.
+/// configured thread count, the calibration and the mode override.
 fn decide(work: u64, nthreads: usize) -> bool {
     if nthreads <= 1 {
         return false;
@@ -395,9 +225,6 @@ fn decide(work: u64, nthreads: usize) -> bool {
         ParallelMode::Force => true,
         ParallelMode::Never => false,
         ParallelMode::Auto => {
-            if work < MIN_PARALLEL_WORK {
-                return false;
-            }
             let cal = calibration();
             let t_eff = nthreads.min(cal.cores);
             if t_eff <= 1 {
@@ -482,7 +309,7 @@ where
 /// exactly once; chunk `i` always holds elements
 /// `data[i*chunk_size .. (i+1)*chunk_size]`, so output placement is
 /// independent of scheduling. `work` is the region's total scalar-op hint
-/// (see [`MIN_PARALLEL_WORK`]).
+/// (see [`should_parallelize`]).
 pub fn par_chunks_mut<T, F>(data: &mut [T], chunk_size: usize, work: u64, f: F)
 where
     T: Send,
@@ -734,8 +561,8 @@ mod tests {
 
     #[test]
     fn small_work_runs_inline() {
-        // Below MIN_PARALLEL_WORK the region must still produce the same
-        // result (and not deadlock when nested inside another region).
+        // A region too small to fan out must still produce the same result
+        // (and not deadlock when nested inside another region).
         let got = par_map_indexed(8, 10, |i| {
             // a nested tiny region
             par_map_indexed(4, 10, move |j| i * 4 + j)
@@ -759,13 +586,11 @@ mod tests {
     }
 
     #[test]
-    fn calibration_is_sane_and_cached() {
-        let a = calibration();
-        assert!(a.spawn_ns >= 1_000.0 && a.spawn_ns <= 50_000_000.0);
-        assert!(a.ns_per_unit >= 0.05 && a.ns_per_unit <= 100.0);
-        assert!(a.cores >= 1);
-        let b = calibration();
-        assert_eq!(a.spawn_ns.to_bits(), b.spawn_ns.to_bits(), "cached");
+    fn calibration_is_the_reference_constants() {
+        let cal = calibration();
+        assert_eq!(cal.spawn_ns.to_bits(), 40_000.0_f64.to_bits());
+        assert_eq!(cal.ns_per_unit.to_bits(), 0.2_f64.to_bits());
+        assert_eq!(cal.cores, sync::thread::available_parallelism());
     }
 
     #[test]
@@ -804,16 +629,20 @@ mod tests {
     }
 
     #[test]
-    fn engagement_decision_respects_cores_and_floor() {
+    fn engagement_boundary_respects_cores() {
         let _guard = OVERRIDE_LOCK.lock();
         let saved = thread_override();
-        set_threads(8);
         set_parallel_mode(ParallelMode::Auto);
-        // Below the floor: never parallel, whatever the host looks like.
-        assert!(!should_parallelize(MIN_PARALLEL_WORK - 1));
+        let multi_core = calibration().cores > 1;
+        // Two workers on two or more cores save work · 0.2 ns · ½, which
+        // must exceed 4 × 40,000 ns × 2 spawns: more than 3.2 M ops. One
+        // core never fans out.
+        set_threads(2);
+        assert!(!should_parallelize(3_200_000));
+        assert_eq!(should_parallelize(3_200_001), multi_core);
         // Huge work: parallel exactly when the host has >1 core to use.
-        let cal = calibration();
-        assert_eq!(should_parallelize(u64::MAX / 2), cal.cores > 1);
+        set_threads(8);
+        assert_eq!(should_parallelize(u64::MAX / 2), multi_core);
         set_threads(saved);
     }
 
@@ -836,106 +665,6 @@ mod tests {
         drop(v);
         assert_eq!(DROPS.load(Ordering::Relaxed), 512);
         set_threads(saved);
-    }
-
-    #[test]
-    fn calibration_persistence_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("hc-cal-test-{}", std::process::id()));
-        let path = dir.join("hc-calibration.json");
-        let _ = std::fs::remove_file(&path);
-
-        // Missing file: nothing to load.
-        assert!(load_calibration(&path, 4).is_none());
-
-        let cal = Calibration {
-            spawn_ns: 123_456.0,
-            ns_per_unit: 0.75,
-            cores: 4,
-        };
-        save_calibration(&path, cal);
-        let loaded = load_calibration(&path, 4).expect("entry for 4 cores");
-        assert_eq!(loaded.cores, 4);
-        assert!((loaded.spawn_ns - cal.spawn_ns).abs() < 1.0);
-        assert!((loaded.ns_per_unit - cal.ns_per_unit).abs() < 1e-3);
-        // Keyed by core count: a different host shape misses.
-        assert!(load_calibration(&path, 8).is_none());
-
-        // Merging keeps other core counts and replaces the same one.
-        save_calibration(
-            &path,
-            Calibration {
-                spawn_ns: 9_000.0,
-                ns_per_unit: 0.10,
-                cores: 8,
-            },
-        );
-        save_calibration(
-            &path,
-            Calibration {
-                spawn_ns: 200_000.0,
-                ns_per_unit: 0.50,
-                cores: 4,
-            },
-        );
-        let four = load_calibration(&path, 4).expect("replaced entry");
-        assert!((four.spawn_ns - 200_000.0).abs() < 1.0);
-        let eight = load_calibration(&path, 8).expect("merged entry");
-        assert!((eight.spawn_ns - 9_000.0).abs() < 1.0);
-
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_dir(&dir);
-    }
-
-    #[test]
-    fn each_build_profile_persists_its_own_calibration() {
-        use std::path::Path;
-        let at = |exe: &str| profile_calibration_path(Path::new(exe));
-        let debug = Path::new("/w/target/debug/hc-calibration.json");
-        let release = Path::new("/w/target/release/hc-calibration.json");
-        assert_eq!(
-            at("/w/target/debug/deps/determinism-0a1b").as_deref(),
-            Some(debug)
-        );
-        assert_eq!(at("/w/target/debug/hc-spmm").as_deref(), Some(debug));
-        assert_eq!(at("/w/target/release/run_all").as_deref(), Some(release));
-        assert_eq!(
-            at("/w/target/release/examples/quickstart").as_deref(),
-            Some(release)
-        );
-        // The innermost `target` wins; an executable outside one persists
-        // nothing.
-        assert_eq!(
-            at("/target/x/target/release/deps/t").as_deref(),
-            Some(Path::new("/target/x/target/release/hc-calibration.json"))
-        );
-        assert_eq!(at("/usr/local/bin/hc-spmm"), None);
-        assert_eq!(at("/w/target/hc-spmm"), None);
-    }
-
-    #[test]
-    fn calibration_persistence_rejects_stale_or_garbage() {
-        // Unparsable text yields no entries.
-        assert!(parse_calibration_entries("not json at all").is_empty());
-        // Wrong version is treated as stale wholesale.
-        assert!(parse_calibration_entries(
-            "{\"version\":2,\"entries\":[{\"cores\":4,\"spawn_ns\":5000.0,\"ns_per_unit\":0.5}]}"
-        )
-        .is_empty());
-        // Out-of-range values are dropped (clock glitch, corrupt write).
-        assert!(parse_calibration_entries(
-            "{\"version\":1,\"entries\":[{\"cores\":4,\"spawn_ns\":1.0,\"ns_per_unit\":0.5}]}"
-        )
-        .is_empty());
-        assert!(parse_calibration_entries(
-            "{\"version\":1,\"entries\":[{\"cores\":0,\"spawn_ns\":5000.0,\"ns_per_unit\":0.5}]}"
-        )
-        .is_empty());
-        // A valid entry parses exactly.
-        let good = parse_calibration_entries(
-            "{\"version\":1,\"entries\":[{\"cores\":16,\"spawn_ns\":5000.0,\"ns_per_unit\":0.5}]}",
-        );
-        assert_eq!(good.len(), 1);
-        assert_eq!(good[0].cores, 16);
     }
 
     #[test]

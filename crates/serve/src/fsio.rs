@@ -1,12 +1,9 @@
-//! Crash-safe file persistence shared across the workspace.
+//! Crash-safe file replacement for the serving layer.
 //!
-//! Every on-disk artifact the workspace writes — the host calibration
-//! cache, serving snapshots — must survive a crash mid-write
-//! without ever being observed half-written. The standard recipe is the
-//! same everywhere: write the full contents to a temporary sibling, fsync
-//! it, then atomically rename over the destination. Before this module the
-//! recipe was hand-rolled at each call site (and each copy skipped the
-//! fsync); [`atomic_write`] is the single shared implementation.
+//! A snapshot must survive a crash mid-write without ever being observed
+//! half-written. The standard recipe: write the full contents to a
+//! temporary sibling, fsync it, then atomically rename over the
+//! destination. [`atomic_write`] is that recipe.
 //!
 //! The atomicity guarantee is the filesystem's `rename(2)` contract: a
 //! reader (or a post-crash recovery pass) sees either the previous
@@ -26,7 +23,7 @@ use std::path::Path;
 /// renamed over `path`. On any error the destination is untouched; a
 /// leftover `.tmp` sibling from an aborted attempt is simply overwritten
 /// by the next call.
-pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+pub(crate) fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent)?;

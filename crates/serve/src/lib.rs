@@ -40,6 +40,7 @@ pub mod cache;
 mod codec;
 pub mod durable;
 pub mod front;
+mod fsio;
 mod screen;
 pub mod shared;
 pub mod snapshot;

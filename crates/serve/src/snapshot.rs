@@ -14,10 +14,9 @@
 //! WAL's delta chains where possible — and the snapshot stays small and
 //! version-robust.
 //!
-//! Snapshots are written with [`hc_parallel::fsio::atomic_write`]
-//! (temp + fsync + rename, the same helper behind the pool's persisted
-//! calibration): a crash mid-snapshot leaves the previous
-//! snapshot intact, never a torn one. Loading re-validates everything —
+//! Snapshots are written with the crate's `fsio::atomic_write` (temp +
+//! fsync + rename): a crash mid-snapshot leaves the previous snapshot
+//! intact, never a torn one. Loading re-validates everything —
 //! header, trailing checksum, [`Csr::validate`] per graph, fingerprint
 //! match per graph — and maps every defect class to a typed
 //! [`RecoveryError`], never a panic.
@@ -138,7 +137,7 @@ impl Snapshot {
     /// Atomically write the snapshot to `path` (temp + fsync + rename):
     /// a crash anywhere inside leaves the previous snapshot readable.
     pub fn save(&self, path: &Path) -> Result<(), RecoveryError> {
-        hc_parallel::fsio::atomic_write(path, &self.to_bytes())?;
+        crate::fsio::atomic_write(path, &self.to_bytes())?;
         Ok(())
     }
 
